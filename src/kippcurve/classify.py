@@ -43,17 +43,16 @@ from .kippenhahn import (
     fam6_product,
     fam7_product,
     five_product,
-    hermitian_parts,
     kipp_poly_det,
     p_scalars,
     quad_product,
-    support_function,
     triple_product,
     upper_entries,
     _check_upper_5x5,
     _lin,
+    _pencil,
 )
-from .linalg import as_matrix, schur_triangularize
+from .linalg import as_matrix, hermitian_parts, schur_triangularize
 
 DEFAULT_TOL = 1e-9
 
@@ -78,7 +77,7 @@ def fit_disc(a, samples: int = 64) -> DiscFit:
     """
     m = as_matrix(a)
     thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    h = np.array([support_function(m, th) for th in thetas])
+    h = np.linalg.eigvalsh(_pencil(*hermitian_parts(m), thetas))[:, -1]
     design = np.stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)], axis=1)
     coef, *_ = np.linalg.lstsq(design, h, rcond=None)
     resid = float(np.max(np.abs(design @ coef - h)))
@@ -197,26 +196,30 @@ def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
 # --- flat-direction detection ---
 
 
-def _pencil_gap(h: np.ndarray, k: np.ndarray, theta: float) -> float:
-    vals = np.linalg.eigvalsh(np.cos(theta) * h + np.sin(theta) * k)
-    return float(np.min(np.diff(vals)))
+def _min_gap(h: np.ndarray, k: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    # smallest adjacent eigenvalue gap of the pencil at each angle
+    return np.min(np.diff(np.linalg.eigvalsh(_pencil(h, k, thetas)), axis=-1), axis=-1)
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 70) -> float:
+def _golden_min(f, lo: np.ndarray, hi: np.ndarray, iters: int = 70) -> np.ndarray:
+    """Golden-section minimizers of f on the brackets [lo, hi], refined in lockstep.
+
+    f maps an array of abscissae to their values, so each step costs one
+    call for all brackets.
+    """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = np.split(f(np.concatenate([c, d])), 2)
     for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+        left = fc < fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        probe = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fp = f(probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
     return (a + b) / 2.0
 
 
@@ -229,19 +232,16 @@ def detect_flat(a, grid: int = 256, tol: float = DEFAULT_TOL) -> list[tuple[floa
     (theta, mu) with mu = minus the collision value; these are the
     candidate flat-portion parameters.  Usually empty.
     """
-    m = as_matrix(a)
-    h, k = hermitian_parts(m)
+    h, k = hermitian_parts(a)
     thetas = np.linspace(0.0, np.pi, grid, endpoint=False)
-    gaps = np.array([_pencil_gap(h, k, th) for th in thetas])
+    gaps = _min_gap(h, k, thetas)
     step = np.pi / grid
+    minima = thetas[(gaps <= np.roll(gaps, 1)) & (gaps <= np.roll(gaps, -1))]
+    th_stars = np.mod(_golden_min(lambda t: _min_gap(h, k, t), minima - step, minima + step), np.pi)
 
     out: list[tuple[float, float]] = []
-    for i in range(grid):
-        if not (gaps[i] <= gaps[i - 1] and gaps[i] <= gaps[(i + 1) % grid]):
-            continue
-        th_star = _golden_min(lambda t: _pencil_gap(h, k, t), thetas[i] - step, thetas[i] + step)
-        th_star = float(np.mod(th_star, np.pi))
-        vals = np.linalg.eigvalsh(np.cos(th_star) * h + np.sin(th_star) * k)
+    for th_star, vals in zip(th_stars, np.linalg.eigvalsh(_pencil(h, k, th_stars))):
+        th_star = float(th_star)
         diffs = np.diff(vals)
         j = int(np.argmin(diffs))
         scale = max(1.0, float(np.max(np.abs(vals))))

@@ -324,7 +324,7 @@ def campaign(trials, seed, ker_dims, structured, tol_disc, tol_center, samples, 
 @click.option("--seed", type=int, default=1234, show_default=True)
 @_guard
 def identities(count, seed):
-    """Cross-check the determinant and closed-form routes plus the family identities."""
+    """Cross-check the eigenvalue-sweep and closed-form routes plus the family identities."""
     oracle = oracle_identity_suite(count, seed)
     oracle_big = oracle_identity_suite(max(count // 5, 5), seed + 1, scale=1e3)
     s5 = s5_identity_check()

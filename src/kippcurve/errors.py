@@ -26,7 +26,7 @@ class NotPartialIsometry(KippError):
 
 
 class IllConditionedInterpolation(KippError):
-    """Coefficient recovery from determinant samples did not converge."""
+    """A z-layer fit of the eigenvalue sweep left a residual above its bound."""
 
 
 class NegativeMinorAxisSquared(KippError):

@@ -66,10 +66,10 @@ def random_upper_triangular(rng: np.random.Generator, scale: float = 1.0) -> np.
 
 
 def oracle_identity_suite(count: int, seed: int, scale: float = 1.0) -> OracleSuiteReport:
-    """Compare the determinant-sampling and closed-form polynomials coefficientwise.
+    """Compare the eigenvalue-sweep and closed-form polynomials coefficientwise.
 
-    The discrepancy is relative to the largest determinant-route
-    coefficient; the suite passes when every matrix agrees below 1e-9.
+    The discrepancy is relative to the largest sweep-route coefficient;
+    the suite passes when every matrix agrees below 1e-9.
     """
     rng = np.random.default_rng(seed)
     rels = []
@@ -296,9 +296,8 @@ class CampaignConfig:
 class TrialRecord:
     """One generated matrix and its circularity verdict.
 
-    All numeric fields reproduce bit-for-bit from (seed, params); the
-    optional timestamp is excluded from persisted records so result
-    files stay byte-identical across reruns of the same config.
+    All numeric fields reproduce bit-for-bit from (seed, params), so
+    result files stay byte-identical across reruns of the same config.
     """
 
     index: int
@@ -312,7 +311,6 @@ class TrialRecord:
     components: str
     expect_circular: bool
     flat_candidates: int
-    timestamp: str | None = None
 
 
 @dataclass(frozen=True)
@@ -432,7 +430,6 @@ def _json_default(obj):
 
 def _record_dict(r: TrialRecord) -> dict:
     d = dataclasses.asdict(r)
-    d.pop("timestamp")  # wall-clock data would break byte-identical reruns
     d["center"] = [r.center.real, r.center.imag]
     d["params"] = {
         k: ([v.real, v.imag] if isinstance(v, complex) else v) for k, v in r.params.items()

@@ -7,16 +7,18 @@ For A = H + iK with Hermitian H, K the associated polynomial is
 homogeneous of degree n with real coefficients and monic in z.  The dual
 curve of p_A = 0 generates the numerical range: W(A) is the convex hull
 of the curve's real affine points.  Two independent routes to p_A live
-here.  `kipp_poly_det` samples determinants of the pencil on a
-deterministic grid and recovers coefficients by least squares; it works
-for any square A up to degree 12.  `kipp_poly_expanded` is a closed-form
-expansion special to 5x5 upper-triangular input, organised by the cycle
-structure of the permutations in the determinant.  The two are developed
-independently so each can serve as an oracle for the other.
+here.  `kipp_poly_det` diagonalizes the pencil cos(t) H + sin(t) K at a
+few angles, expands prod_j (z + lam_j(t)) and fits each z-layer by least
+squares; it works for any square A up to degree 12.  `kipp_poly_expanded`
+is a closed-form expansion special to 5x5 upper-triangular input,
+organised by the cycle structure of the permutations in the determinant.
+The two are developed independently so each can serve as an oracle for
+the other.
 
-Also here: support function, eigenvalue slices of the pencil in a given
-direction, boundary sampling, and the entry-product sums that the
-closed-form expansion and the factorization conditions share.
+Also here: the one function that builds the pencil stack, the support
+function, eigenvalue slices of the pencil in a given direction, boundary
+sampling, and the entry-product sums that the closed-form expansion and
+the factorization conditions share.
 """
 
 from __future__ import annotations
@@ -27,65 +29,63 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import BadDims, IllConditionedInterpolation, NotDim5, NotUpperTriangular
-from .homopoly import HomoPoly3, dict_add, dict_mul, dict_scale, prune
+from .homopoly import HomoPoly3, dict_add, dict_mul, prune
 from .linalg import as_matrix, hermitian_parts
 
-MAX_DEGREE = 12  # coefficient-count guard for the determinant fit
+MAX_DEGREE = 12  # largest degree the sweep route is tested at
 
-# --- determinant-sampling route ---
+# --- the pencil and the eigenvalue-sweep route ---
 
 
-def _sample_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # circles of several radii with golden-offset angles; radii stay near 1
-    # so the Vandermonde stays well conditioned through degree 12
-    nrad = max(3, n // 2 + 2)
-    nang = 2 * n + 3
-    radii = np.geomspace(0.75, 4.0 / 3.0, nrad)
-    ang = 2.0 * np.pi * (np.arange(nang) + 0.381966) / nang
-    xs = np.concatenate([r * np.cos(ang) for r in radii])
-    ys = np.concatenate([r * np.sin(ang) for r in radii])
-    return xs, ys
+def _pencil(h: np.ndarray, k: np.ndarray, thetas) -> np.ndarray:
+    """cos(theta) H + sin(theta) K, stacked over the shape of thetas.
+
+    Every spectral computation of the package diagonalizes this stack with
+    one batched eigensolve.
+    """
+    th = np.asarray(thetas, dtype=float)[..., None, None]
+    return np.cos(th) * h + np.sin(th) * k
 
 
 def kipp_poly_det(a) -> HomoPoly3:
-    """det(x H + y K + z I) recovered from determinant samples.
+    """det(x H + y K + z I) recovered from one eigenvalue sweep of the pencil.
 
-    The pencil is evaluated on a fixed grid in the z = 1 chart after
-    rescaling A to unit size (the polynomial rescales monomial-wise, so
-    nothing is lost), and the dehomogenized coefficients come from one
-    least-squares solve.  Raises IllConditionedInterpolation when the fit
-    residual or the monic-in-z check fails.
+    On the unit circle p(cos t, sin t, z) = prod_j (z + lam_j(t)) over the
+    eigenvalues of cos(t) H + sin(t) K, so the z^(n-m) coefficient layer is
+    the m-th elementary symmetric function of the lam_j(t), a form of
+    degree m in (cos t, sin t).  Each layer is sampled at 2n + 2 equispaced
+    angles and fitted by least squares in the monomials cos^(m-j) sin^j;
+    the z^n layer is 1, so the result is monic by construction.  Raises
+    IllConditionedInterpolation when a layer's fit residual exceeds 1e-8
+    relative to rho^m, rho the largest eigenvalue modulus of the sweep.
     """
     m = as_matrix(a)
     n = m.shape[0]
     if n > MAX_DEGREE:
         raise BadDims(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
-    h, k = hermitian_parts(m)
-    tau = max(1.0, float(np.linalg.norm(h, 2)), float(np.linalg.norm(k, 2)))
-    hs, ks = h / tau, k / tau
+    thetas = np.linspace(0.0, 2.0 * np.pi, 2 * n + 2, endpoint=False)
+    lams = np.linalg.eigvalsh(_pencil(*hermitian_parts(m), thetas))
 
-    xs, ys = _sample_grid(n)
-    pencil = xs[:, None, None] * hs + ys[:, None, None] * ks + np.eye(n)
-    dets = np.linalg.det(pencil).real  # Hermitian pencil, imaginary part is roundoff
+    # elementary symmetric functions e_0..e_n at every angle: expand prod (z + lam_j)
+    esym = np.zeros((thetas.size, n + 1))
+    esym[:, 0] = 1.0
+    for lam in lams.T:
+        esym[:, 1:] = esym[:, 1:] + lam[:, None] * esym[:, :-1]
 
-    monos = [(i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)]
-    vand = np.stack([xs**i * ys**j for (i, j, _) in monos], axis=1)
-    coef, *_ = np.linalg.lstsq(vand, dets, rcond=None)
-
-    resid = float(np.max(np.abs(vand @ coef - dets)))
-    if resid > 1e-8 * float(np.max(np.abs(dets))):
-        raise IllConditionedInterpolation(f"determinant fit residual {resid:.3e}")
-    czn = coef[monos.index((0, 0, n))]
-    if abs(czn - 1.0) > 1e-12:
-        raise IllConditionedInterpolation(f"z^{n} coefficient {czn!r} is not 1")
-    coef = coef / czn
-
-    coeffs = {}
-    for (i, j, kz), c in zip(monos, coef):
-        val = float(c) * tau ** (i + j)  # undo the input rescaling
-        if val != 0.0:
-            coeffs[(i, j, kz)] = val
-    coeffs[(0, 0, n)] = 1.0
+    rho = float(np.max(np.abs(lams), initial=0.0))
+    powers = np.arange(n + 1)
+    cos_pow = np.cos(thetas)[:, None] ** powers
+    sin_pow = np.sin(thetas)[:, None] ** powers
+    coeffs = {(0, 0, n): 1.0}
+    for deg in range(1, n + 1):
+        design = cos_pow[:, deg::-1] * sin_pow[:, : deg + 1]  # columns cos^(deg-j) sin^j
+        coef, *_ = np.linalg.lstsq(design, esym[:, deg], rcond=None)
+        resid = float(np.max(np.abs(design @ coef - esym[:, deg])))
+        if resid > 1e-8 * rho**deg:
+            raise IllConditionedInterpolation(f"z^{n - deg} layer fit residual {resid:.3e}")
+        for j, c in enumerate(coef):
+            if c != 0.0:
+                coeffs[(deg - j, j, n - deg)] = float(c)
     return HomoPoly3(n, coeffs)
 
 
@@ -268,14 +268,9 @@ def kipp_poly_expanded(a) -> HomoPoly3:
 # --- spectral geometry of the pencil ---
 
 
-def _direction_matrix(h: np.ndarray, k: np.ndarray, theta: float) -> np.ndarray:
-    return np.cos(theta) * h + np.sin(theta) * k
-
-
 def support_function(a, theta: float) -> float:
     """Largest eigenvalue of Re(e^{-i theta} A); the support of W(A) at angle theta."""
-    h, k = hermitian_parts(a)
-    return float(np.linalg.eigvalsh(_direction_matrix(h, k, theta))[-1])
+    return float(np.linalg.eigvalsh(_pencil(*hermitian_parts(a), theta))[-1])
 
 
 DEGENERATE_GAP = 1e-7
@@ -298,31 +293,34 @@ class SpectralSlice:
     degenerate: bool
 
 
-def spectral_slice(a, theta: float) -> SpectralSlice:
+def _tangency(m: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    # points u* A u for the eigenvector columns u of each pencil in the stack
+    return np.einsum("tik,ij,tjk->tk", vecs.conj(), m, vecs)
+
+
+def _slices(a, thetas: np.ndarray) -> list[SpectralSlice]:
     m = as_matrix(a)
-    h, k = hermitian_parts(m)
-    vals, vecs = np.linalg.eigh(_direction_matrix(h, k, theta))
-    pts = np.einsum("ik,ij,jk->k", vecs.conj(), m, vecs)
-    gaps = np.diff(vals)
-    degen = bool(gaps.size and float(np.min(gaps)) < DEGENERATE_GAP)
-    return SpectralSlice(float(theta), vals, vecs, pts, degen)
+    vals, vecs = np.linalg.eigh(_pencil(*hermitian_parts(m), thetas))
+    pts = _tangency(m, vecs)
+    gaps = np.diff(vals, axis=-1)
+    return [
+        SpectralSlice(float(th), v, u, p, bool(g.size and float(np.min(g)) < DEGENERATE_GAP))
+        for th, v, u, p, g in zip(thetas, vals, vecs, pts, gaps)
+    ]
+
+
+def spectral_slice(a, theta: float) -> SpectralSlice:
+    return _slices(a, np.array([theta], dtype=float))[0]
 
 
 def boundary_polyline(a, samples: int = 256) -> np.ndarray:
     """Boundary points of W(A): tangency point of the top eigenvector per angle."""
     m = as_matrix(a)
-    h, k = hermitian_parts(m)
-    out = np.empty(samples, dtype=complex)
-    for idx, theta in enumerate(np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)):
-        _, vecs = np.linalg.eigh(_direction_matrix(h, k, theta))
-        top = vecs[:, -1]
-        out[idx] = complex(top.conj() @ m @ top)
-    return out
+    thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    _, vecs = np.linalg.eigh(_pencil(*hermitian_parts(m), thetas))
+    return _tangency(m, vecs[:, :, -1:])[:, 0]
 
 
 def curve_points(a, samples: int = 256) -> list[SpectralSlice]:
     """Full sweep of spectral slices over [0, 2 pi)."""
-    return [
-        spectral_slice(a, theta)
-        for theta in np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    ]
+    return _slices(a, np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False))

@@ -69,19 +69,24 @@ def kernel_dimension(a, tol: float = DEFAULT_TOL) -> int:
     return int(np.sum(sv <= tol * max(1.0, float(sv[0]))))
 
 
+def _commutant_spectrum(a, tol: float) -> tuple[np.ndarray, float]:
+    # XA = AX and XA* = A*X stacked as one linear system on vec(X): its
+    # singular values and the cutoff below which they count as zero
+    m = as_matrix(a)
+    eye = np.eye(m.shape[0])
+    top = np.kron(m.T, eye) - np.kron(eye, m)
+    bot = np.kron(m.conj(), eye) - np.kron(eye, m.conj().T)
+    sv = np.linalg.svd(np.vstack([top, bot]), compute_uv=False)
+    return sv, tol * max(1.0, float(sv[0]))
+
+
 def joint_commutant_dimension(a, tol: float = DEFAULT_TOL) -> int:
     """Dimension of {X : XA = AX and XA* = A*X}.
 
     The two commutator equations are stacked as one linear system on vec(X)
     and the kernel is counted from its singular values.
     """
-    m = as_matrix(a)
-    n = m.shape[0]
-    eye = np.eye(n)
-    top = np.kron(m.T, eye) - np.kron(eye, m)
-    bot = np.kron(m.conj(), eye) - np.kron(eye, m.conj().T)
-    sv = np.linalg.svd(np.vstack([top, bot]), compute_uv=False)
-    cutoff = tol * max(1.0, float(sv[0]))
+    sv, cutoff = _commutant_spectrum(a, tol)
     return int(np.sum(sv <= cutoff))
 
 
@@ -92,12 +97,7 @@ def is_irreducible(a, tol: float = DEFAULT_TOL) -> bool | None:
     inside the decision band around the cutoff, where neither verdict
     would be trustworthy.
     """
-    m = as_matrix(a)
-    eye = np.eye(m.shape[0])
-    top = np.kron(m.T, eye) - np.kron(eye, m)
-    bot = np.kron(m.conj(), eye) - np.kron(eye, m.conj().T)
-    sv = np.linalg.svd(np.vstack([top, bot]), compute_uv=False)
-    cutoff = tol * max(1.0, float(sv[0]))
+    sv, cutoff = _commutant_spectrum(a, tol)
     # borderline: anything within a decade of the cutoff on either side
     near = (sv > cutoff / 10.0) & (sv < cutoff * 10.0)
     if np.any(near):

@@ -1,7 +1,7 @@
 """Tests for the Kippenhahn polynomial routes and the spectral sweep.
 
-The two polynomial routes (determinant sampling and the closed-form
-5x5 expansion) are developed independently, so their agreement on random
+The two polynomial routes (the eigenvalue sweep of the pencil and the
+closed-form 5x5 expansion) are developed independently, so their agreement on random
 upper-triangular input is the strongest correctness signal in the whole
 package and is checked here on a small batch; the full 200-matrix run
 lives in the acceptance suite.
@@ -9,10 +9,11 @@ lives in the acceptance suite.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kippcurve.errors import BadDims, NotDim5, NotUpperTriangular
 from kippcurve.generators import haar_unitary, jordan_shift, two_ellipse_block
-from kippcurve.homopoly import max_abs_coeff, max_coeff_diff, substitute_linear
+from kippcurve.homopoly import HomoPoly3, dict_mul, max_abs_coeff, max_coeff_diff, substitute_linear
 from kippcurve.kippenhahn import (
     boundary_polyline,
     curve_points,
@@ -28,7 +29,7 @@ def random_upper(rng, n=5):
     return np.triu(t)
 
 
-# --- determinant route ---
+# --- eigenvalue-sweep route ---
 
 
 def test_det_route_j2():
@@ -60,7 +61,7 @@ def test_det_route_monic():
 
 
 def test_det_route_scale_invariant_conditioning():
-    # rescaling is undone monomial-wise, so huge inputs still interpolate
+    # each z-layer is fitted on its own scale, so huge inputs still fit
     rng = np.random.default_rng(3)
     a = 1e3 * random_upper(rng)
     p = kipp_poly_det(a)
@@ -71,6 +72,41 @@ def test_det_route_scale_invariant_conditioning():
 def test_det_route_degree_guard():
     with pytest.raises(BadDims):
         kipp_poly_det(np.zeros((13, 13)))
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_det_route_whole_degree_range(n):
+    """Every advertised degree fits, matches det(xH + yK + zI) at points off
+    the fitted angles and obeys the translation and rotation laws."""
+    rng = np.random.default_rng(100 + n)
+    a = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / 2.0
+    p = kipp_poly_det(a)
+    h = (a + a.conj().T) / 2.0
+    k = (a - a.conj().T) / 2.0j
+    for x, y, z in rng.normal(size=(4, 3)):
+        want = np.linalg.det(x * h + y * k + z * np.eye(n)).real
+        scale = sum(abs(c * x**i * y**j * z**kk) for (i, j, kk), c in p.coeffs.items())
+        assert abs(p(x, y, z) - want) < 1e-9 * max(1.0, scale)
+
+    bound = 1e-9 * max(1.0, max_abs_coeff(p))
+    c = complex(*rng.normal(size=2)) / 2.0
+    shifted = kipp_poly_det(a + c * np.eye(n))
+    assert max_coeff_diff(shifted, substitute_linear(p, (1, 0, 0), (0, 1, 0), (c.real, c.imag, 1.0))) < bound
+    phi = float(rng.uniform(0.0, 2.0 * np.pi))
+    cs, sn = np.cos(phi), np.sin(phi)
+    rotated = kipp_poly_det(np.exp(1j * phi) * a)
+    assert max_coeff_diff(rotated, substitute_linear(p, (cs, sn, 0.0), (-sn, cs, 0.0), (0.0, 0.0, 1.0))) < bound
+
+
+def test_direct_sum_oracle_degree_10():
+    # p of a direct sum is the product of the blocks' polynomials, so the
+    # closed form checks the sweep route at degree 10
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        a, b = random_upper(rng), random_upper(rng)
+        want = HomoPoly3(10, dict_mul(kipp_poly_expanded(a).coeffs, kipp_poly_expanded(b).coeffs))
+        got = kipp_poly_det(scipy.linalg.block_diag(a, b))
+        assert max_coeff_diff(got, want) < 1e-9 * max(1.0, max_abs_coeff(want))
 
 
 # --- closed-form route ---
