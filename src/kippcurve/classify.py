@@ -12,8 +12,11 @@ segment.  `classify_curve` peels these factors off numerically;
 `two_ellipse_report` and `flat_report` evaluate the exact coefficient
 identities that characterize each factorization for upper-triangular
 input, labelled (a) through (g) plus the flat-case disequalities (h),
-(i).  `fit_disc` fits a circular support function, which is how the
-search harness decides circularity of the numerical range.
+(i).  Rows (a)..(g) are coefficients of the correction cubic Q in
+p = prod L_i - ((x^2+y^2)/4) Q: the entry side reads them off the
+closed-form Q of the matrix, the left side off the Q of the target
+factorization.  `fit_disc` fits a circular support function, which is
+how the search harness decides circularity of the numerical range.
 """
 
 from __future__ import annotations
@@ -28,30 +31,13 @@ from .homopoly import (
     bimul,
     dict_add,
     dict_mul,
-    dict_scale,
     from_z_layers,
     max_abs_coeff,
+    max_coeff_diff,
     prune,
     z_layers,
 )
-from .kippenhahn import (
-    FAM6,
-    FAM7,
-    PART_14,
-    PART_23,
-    PART_32,
-    fam6_product,
-    fam7_product,
-    five_product,
-    kipp_poly_det,
-    p_scalars,
-    quad_product,
-    triple_product,
-    upper_entries,
-    _check_upper_5x5,
-    _lin,
-    _pencil,
-)
+from .kippenhahn import _check_upper_5x5, _correction_cubic, _lin, _pencil, kipp_poly_det
 from .linalg import as_matrix, hermitian_parts, schur_triangularize
 
 DEFAULT_TOL = 1e-9
@@ -140,7 +126,10 @@ def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
 
     The division remainder is exactly quadratic in t = r^2, so three
     divisions reconstruct it and the optimal t comes from the real
-    critical points of its squared norm.  Among candidates that divide
+    critical points of its squared norm.  A critical point within
+    roundoff of 0, |t| <= 1e-13 s^2 with s = max(1, |li|, |lj|), is the
+    t = 0 candidate, so r resolves down to about 3e-7 s and anything
+    smaller comes out as exactly 0.  Among candidates that divide
     exactly, the largest t wins (outermost component first).  Raises
     NegativeMinorAxisSquared when the best t is decisively negative.
     Returns (r, quotient, residual) with the residual relative to p.
@@ -175,7 +164,12 @@ def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
         dn = dcoef / lead
         nz = np.argmax(np.abs(dn) > 1e-14)
         roots = np.roots(dn[nz:]) if len(dn[nz:]) > 1 else np.array([])
-        cands += [float(r.real) for r in roots if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real))]
+        t_zero = 1e-13 * max(1.0, abs(li), abs(lj)) ** 2
+        cands += [
+            float(r.real) if abs(r.real) > t_zero else 0.0
+            for r in roots
+            if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real))
+        ]
 
     def phi(t):
         return float(c[0] + c[1] * t + c[2] * t**2 + c[3] * t**3 + c[4] * t**4)
@@ -281,72 +275,44 @@ class ConditionReport:
         raise KeyError(label)
 
 
+def _pack(q: HomoPoly3) -> dict:
+    # rows (a)..(g) as fixed repackings of the correction cubic's coefficients
+    c = q.coeff
+    return {
+        "a": complex(c(0, 0, 3)),
+        "b": complex(c(1, 0, 2), c(0, 1, 2)),
+        "c": complex(c(2, 0, 1) - c(0, 2, 1), c(1, 1, 1)),
+        "d": complex(c(3, 0, 0) - c(1, 2, 0), c(2, 1, 0) - c(0, 3, 0)),
+        "e": complex(c(3, 0, 0)),
+        "f": complex(c(0, 3, 0)),
+        "g": complex(c(2, 0, 1)),
+    }
+
+
 def entry_condition_rhs(t) -> dict:
     """Entry-side values of conditions (a)..(g) for upper-triangular 5x5 input.
 
-    These are the coefficient sums of the determinant expansion that any
-    target factorization has to reproduce; both report flavours compare
-    their left sides against this same dictionary.
+    These are coefficients of the correction cubic Q of the closed form
+    p_T = prod L_i - ((x^2+y^2)/4) Q.  With Q[m] the coefficient of m:
+    a = Q[z^3], b = Q[xz^2] + i Q[yz^2], c = Q[x^2z] - Q[y^2z] + i Q[xyz],
+    d = Q[x^3] - Q[xy^2] + i (Q[x^2y] - Q[y^3]), e = Q[x^3], f = Q[y^3]
+    and g = Q[x^2z].  A target factorization holds exactly when its own
+    Q has the same coefficients, so both report flavours compare against
+    this dictionary.
     """
-    tm = _check_upper_5x5(t)
-    lam = np.diag(tm)
-    al, be = lam.real, lam.imag
-    ent = upper_entries(tm)
-    pis = p_scalars(ent)
-    abs2 = {pq: abs(v) ** 2 for pq, v in ent.items()}
-    trip = {tr: triple_product(ent, *tr) for (_, tr) in PART_23}
-    quad = {qd: quad_product(ent, *qd) for (_, qd) in PART_14}
-    five = five_product(ent)
-    f6 = sum(fam6_product(ent, idx) for idx in FAM6)
-    f7 = sum(fam7_product(ent, idx) for idx in FAM7)
-
-    rhs: dict = {}
-    rhs["a"] = complex(sum(abs2.values()))
-    rhs["b"] = sum(abs2[pr] * (lam[i] + lam[j] + lam[k]) for ((i, j, k), pr) in PART_32) - sum(
-        trip.values()
-    )
-    rhs["c"] = (
-        sum(
-            abs2[pr] * (lam[i] * lam[j] + lam[i] * lam[k] + lam[j] * lam[k])
-            for ((i, j, k), pr) in PART_32
-        )
-        - sum((lam[i] + lam[j]) * trip[tr] for ((i, j), tr) in PART_23)
-        + sum(quad.values())
-    )
-    rhs["d"] = (
-        sum(abs2[pr] * lam[i] * lam[j] * lam[k] for ((i, j, k), pr) in PART_32)
-        - sum(lam[i] * lam[j] * trip[tr] for ((i, j), tr) in PART_23)
-        + sum(lam[i] * quad[qd] for ((i,), qd) in PART_14)
-        - five
-    )
-    rhs["e"] = complex(
-        sum(abs2[pr] * al[i] * al[j] * al[k] for ((i, j, k), pr) in PART_32)
-        - sum(trip[tr].real * al[i] * al[j] for ((i, j), tr) in PART_23)
-        - 0.25 * sum(pis[i] * al[i] for i in range(5))
-        + 0.5 * sum(quad[qd].real * al[i] for ((i,), qd) in PART_14)
-        + 0.25 * sum(trip[tr].real * abs2[(i, j)] for ((i, j), tr) in PART_23)
-        - 0.25 * (f6.real + f7.real)
-        - 0.25 * five.real
-    )
-    rhs["f"] = complex(
-        sum(abs2[pr] * be[i] * be[j] * be[k] for ((i, j, k), pr) in PART_32)
-        - sum(trip[tr].imag * be[i] * be[j] for ((i, j), tr) in PART_23)
-        - 0.25 * sum(pis[i] * be[i] for i in range(5))
-        - 0.5 * sum(quad[qd].real * be[i] for ((i,), qd) in PART_14)
-        + 0.25 * sum(trip[tr].imag * abs2[(i, j)] for ((i, j), tr) in PART_23)
-        - 0.25 * (f6.imag + f7.imag)
-        + 0.25 * five.imag
-    )
-    rhs["g"] = complex(
-        sum(abs2[pr] * (al[i] * al[j] + al[i] * al[k] + al[j] * al[k]) for ((i, j, k), pr) in PART_32)
-        - sum(trip[tr].real * (al[i] + al[j]) for ((i, j), tr) in PART_23)
-        - 0.25 * sum(pis)
-        + 0.5 * sum(q.real for q in quad.values())
-    )
-    return rhs
+    return _pack(_correction_cubic(t))
 
 
 _LABELS = "abcdefg"
+_E = {(2, 0, 0): 1.0, (0, 2, 0): 1.0}  # x^2 + y^2
+
+
+def _lincomb(*terms) -> dict:
+    # sum of weight * polynomial dict over (weight, dict) pairs
+    out: dict = {}
+    for weight, poly in terms:
+        out = dict_add(out, poly, weight)
+    return out
 
 
 def _report_from(lhs: dict, rhs: dict, extra: tuple = ()) -> ConditionReport:
@@ -363,84 +329,49 @@ def two_ellipse_report(t, roles, r: float, s: float) -> ConditionReport:
     """Conditions (a)..(g) for p_T = (r-ellipse on p, q) (s-ellipse on t, v) (point w).
 
     roles is a tuple of diagonal positions (p, q, t, v, w); r pairs with
-    the (p, q) foci and s with (t, v).  All residuals vanish exactly when
-    the factorization holds.
+    the (p, q) foci and s with (t, v).  The target's correction cubic is
+    l_w (r^2 l_t l_v + s^2 l_p l_q - (r^2 s^2/4)(x^2+y^2)).  All residuals
+    vanish exactly when the factorization holds.
     """
     tm = _check_upper_5x5(t)
-    lam = np.diag(tm)
-    p_, q_, t_, v_, w_ = roles
-    lp, lq, lt, lv, lw = (lam[i] for i in roles)
-    ap, aq, at, av, aw = (lam[i].real for i in roles)
-    bp, bq, bt, bv, bw = (lam[i].imag for i in roles)
+    lp, lq, lt, lv, lw = (_lin(tm[i, i]) for i in roles)
     r2, s2 = float(r) ** 2, float(s) ** 2
-
-    lhs = {
-        "a": complex(r2 + s2),
-        "b": r2 * (lw + lt + lv) + s2 * (lw + lp + lq),
-        "c": r2 * (lw * lt + lw * lv + lt * lv) + s2 * (lw * lp + lw * lq + lp * lq),
-        "d": r2 * lw * lt * lv + s2 * lw * lp * lq,
-        "e": complex(r2 * aw * at * av + s2 * aw * ap * aq - 0.25 * r2 * s2 * aw),
-        "f": complex(r2 * bw * bt * bv + s2 * bw * bp * bq - 0.25 * r2 * s2 * bw),
-        "g": complex(
-            r2 * (aw * at + aw * av + at * av)
-            + s2 * (aw * ap + aw * aq + ap * aq)
-            - 0.25 * r2 * s2
-        ),
-    }
-    return _report_from(lhs, entry_condition_rhs(tm))
+    inner = _lincomb((r2, dict_mul(lt, lv)), (s2, dict_mul(lp, lq)), (-0.25 * r2 * s2, _E))
+    q_target = HomoPoly3(3, dict_mul(lw, inner))
+    return _report_from(_pack(q_target), entry_condition_rhs(tm))
 
 
 def flat_report(t, roles, r: float, theta: float, mu: float, tol: float = DEFAULT_TOL) -> ConditionReport:
     """Conditions (a)..(g) plus disequalities (h), (i) for the ellipse x flat-cubic split.
 
     roles = (p, q, t, v, w): the ellipse with minor axis r sits on foci
-    positions (p, q) and the flat cubic carries the eigenvalues at
-    positions (t, v, w) with weights mu_j = Re(e^{-i theta} lam_j) + mu.
+    positions (p, q) and the flat cubic F = `_flat_model` carries the
+    eigenvalues at positions (t, v, w) with weights
+    mu_j = Re(e^{-i theta} lam_j) + mu.  The target's correction cubic is
+    r^2 F + 4 l_p l_q G with G the linear form of `_flat_linear`.
     Rows (h) and (i) are predicates: residual 0 when the disequality
     holds with margin above tol, else 1, with the margin stored as lhs.
     """
     tm = _check_upper_5x5(t)
     lam = np.diag(tm)
     p_, q_, t_, v_, w_ = roles
-    lp, lq = lam[p_], lam[q_]
-    ap, aq = lp.real, lq.real
-    bp, bq = lp.imag, lq.imag
     theta = float(theta)
-    mu = float(mu)
     r2 = float(r) ** 2
     eit = np.exp(1j * theta)
-    ct, st = np.cos(theta), np.sin(theta)
 
     trio = [lam[w_], lam[t_], lam[v_]]
-    mus = [(np.conj(eit) * l).real + mu for l in trio]
+    mus = [(np.conj(eit) * l).real + float(mu) for l in trio]
     (lw, lt, lv), (mw, mt, mv) = trio, mus
-    aw, at, av = (l.real for l in trio)
-    bw, bt, bv = (l.imag for l in trio)
-
-    smu2 = mt * mv + mw * mv + mw * mt
-    slmu = lw * mt * mv + lt * mw * mv + lv * mw * mt
-    salmu = aw * mt * mv + at * mw * mv + av * mw * mt
-    sblmu = bw * mt * mv + bt * mw * mv + bv * mw * mt
     pr = mw * mt * mv
 
-    lhs = {
-        "a": complex(r2 + 4.0 * smu2),
-        "b": r2 * (lw + lt + lv) + 4.0 * (slmu - 2.0 * pr * eit + (lp + lq) * smu2),
-        "c": r2 * (lw * lt + lw * lv + lt * lv)
-        + 4.0 * (lp * lq * smu2 + (lp + lq) * (slmu - 2.0 * pr * eit)),
-        "d": r2 * lw * lt * lv + 4.0 * lp * lq * (slmu - 2.0 * pr * eit),
-        "e": complex(
-            r2 * (aw * at * av - salmu + 2.0 * pr * ct) + 4.0 * ap * aq * (salmu - 2.0 * pr * ct)
+    lpq = dict_mul(_lin(lam[p_]), _lin(lam[q_]))
+    q_target = HomoPoly3(
+        3,
+        _lincomb(
+            (r2, _flat_model(trio, mus, theta).coeffs),
+            (4.0, dict_mul(lpq, _flat_linear(trio, mus, theta))),
         ),
-        "f": complex(
-            r2 * (bw * bt * bv - sblmu + 2.0 * pr * st) + 4.0 * bp * bq * (sblmu - 2.0 * pr * st)
-        ),
-        "g": complex(
-            r2 * ((at * av + aw * av + aw * at) - smu2)
-            + 4.0 * ap * aq * smu2
-            + 4.0 * (ap + aq) * (salmu - 2.0 * pr * ct)
-        ),
-    }
+    )
 
     row_h = ConditionRow("h", complex(pr), 0.0, 0.0 if abs(pr) > tol else 1.0)
     margins = []
@@ -453,7 +384,7 @@ def flat_report(t, roles, r: float, theta: float, mu: float, tol: float = DEFAUL
     min_margin = min(margins)
     row_i = ConditionRow("i", complex(min_margin), 0.0, 0.0 if min_margin > tol else 1.0)
 
-    return _report_from(lhs, entry_condition_rhs(tm), (row_h, row_i))
+    return _report_from(_pack(q_target), entry_condition_rhs(tm), (row_h, row_i))
 
 
 # --- the classification pipeline ---
@@ -498,19 +429,19 @@ def _lex_key(z: complex):
 _FLAT_FIT_TOL = 1e-6
 
 
-def _flat_model(trio, mus, theta: float) -> HomoPoly3:
-    # l_w l_t l_v - (x^2+y^2) sum_j l_j mu_k mu_l + 2 (prod mu) (x^2+y^2)(x cos + y sin)
-    e_dict = {(2, 0, 0): 1.0, (0, 2, 0): 1.0}
+def _flat_linear(trio, mus, theta: float) -> dict:
+    # sum_j l_j mu_k mu_l - 2 (prod mu)(x cos theta + y sin theta)
     lw, lt, lv = (_lin(l) for l in trio)
     mw, mt, mv = mus
-    cub = dict_mul(dict_mul(lw, lt), lv)
-    mix = dict_add(
-        dict_add(dict_scale(lw, mt * mv), dict_scale(lt, mw * mv)),
-        dict_scale(lv, mw * mt),
-    )
-    model = dict_add(cub, dict_mul(e_dict, mix), -1.0)
     harm = {(1, 0, 0): float(np.cos(theta)), (0, 1, 0): float(np.sin(theta))}
-    model = dict_add(model, dict_mul(e_dict, harm), 2.0 * mw * mt * mv)
+    return _lincomb((mt * mv, lw), (mw * mv, lt), (mw * mt, lv), (-2.0 * mw * mt * mv, harm))
+
+
+def _flat_model(trio, mus, theta: float) -> HomoPoly3:
+    # l_w l_t l_v - (x^2+y^2) times the linear form of _flat_linear
+    lw, lt, lv = (_lin(l) for l in trio)
+    cub = dict_mul(dict_mul(lw, lt), lv)
+    model = dict_add(cub, dict_mul(_E, _flat_linear(trio, mus, theta)), -1.0)
     return HomoPoly3(3, prune(model))
 
 
@@ -583,9 +514,7 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> list:
             mus = [(w * l).real + mu for l in trio]
             if abs(mus[0] * mus[1] * mus[2]) <= tol:
                 continue
-            model = _flat_model(trio, mus, th)
-            keys = set(cur.coeffs) | set(model.coeffs)
-            diff = max(abs(cur.coeff(*kk) - model.coeff(*kk)) for kk in keys) / scale
+            diff = max_coeff_diff(cur, _flat_model(trio, mus, th)) / scale
             if diff < _FLAT_FIT_TOL and (best is None or diff < best[0]):
                 best = (diff, th, mu)
         if best is not None:

@@ -41,15 +41,19 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError("matrix object needs 'dim' and 'entries'")
     n = obj["dim"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"bad dimension {n!r}")
     entries = obj["entries"]
+    if not isinstance(entries, list):
+        raise ValueError("'entries' must be a list of [re, im] pairs")
     if len(entries) != n * n:
         raise ValueError(f"expected {n * n} entries, got {len(entries)}")
     flat = []
     for ent in entries:
         if not (isinstance(ent, (list, tuple)) and len(ent) == 2):
             raise ValueError(f"entry {ent!r} is not a [re, im] pair")
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in ent):
+            raise ValueError(f"entry {ent!r} has a part that is not a real number")
         re, im = float(ent[0]), float(ent[1])
         if not (isfinite(re) and isfinite(im)):
             raise ValueError("entries must be finite")

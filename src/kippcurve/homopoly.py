@@ -72,10 +72,6 @@ def dict_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def dict_scale(a: dict, factor: float) -> dict:
-    return {key: factor * c for key, c in a.items()}
-
-
 def prune(a: dict) -> dict:
     return {key: c for key, c in a.items() if c != 0.0}
 

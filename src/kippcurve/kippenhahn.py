@@ -15,10 +15,12 @@ organised by the cycle structure of the permutations in the determinant.
 The two are developed independently so each can serve as an oracle for
 the other.
 
-Also here: the one function that builds the pencil stack, the support
-function, eigenvalue slices of the pencil in a given direction, boundary
-sampling, and the entry-product sums that the closed-form expansion and
-the factorization conditions share.
+The closed form is prod L_i - ((x^2+y^2)/4) Q with L_i the linear
+forms of the diagonal and Q a cubic in the entries (`_correction_cubic`);
+the factorization condition reports in `classify` read their entry side
+off Q's coefficients.  Also here: the one function that builds the pencil
+stack, the support function, eigenvalue slices of the pencil in a given
+direction, and boundary sampling.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def kipp_poly_det(a) -> HomoPoly3:
     return HomoPoly3(n, coeffs)
 
 
-# --- shared entry-product sums for 5x5 upper-triangular matrices ---
+# --- entry-product sums of the closed form for 5x5 upper-triangular matrices ---
 
 _N = 5
 
@@ -145,7 +147,7 @@ def p_scalars(a: dict) -> list[float]:
     return out
 
 
-# index families, enumerated once; sizes are pinned by the tests
+# index families, enumerated once
 PART_32 = [(t, tuple(sorted(set(range(_N)) - set(t)))) for t in combinations(range(_N), 3)]
 PART_23 = [(p, t) for (t, p) in PART_32]
 PART_14 = [((i,), tuple(sorted(set(range(_N)) - {i}))) for i in range(_N)]
@@ -198,52 +200,50 @@ def _quad_form(w: complex) -> dict:
     }
 
 
-def kipp_poly_expanded(a) -> HomoPoly3:
-    """Closed-form p_A for 5x5 upper-triangular A.
+def _correction_cubic(t) -> HomoPoly3:
+    """The cubic Q with p_T = prod L_i - ((x^2+y^2)/4) Q for 5x5 upper-triangular T.
 
-    Writing L_i = (Re lam_i) x + (Im lam_i) y + z for the diagonal entries,
-    the determinant expands as prod L_i minus (x^2+y^2)/4 times a cubic
-    correction Q collecting the non-identity permutations by cycle type:
-    transpositions, 3-cycles, (2,2)- and 4-cycle patterns paired with the
-    leftover linear factors, and the 5-cycle families weighted by pure
-    (x, y) forms.  All sums run over the index families enumerated above.
+    Here L_i = (Re lam_i) x + (Im lam_i) y + z for the diagonal entries.
+    Q collects the non-identity permutations of the determinant by cycle
+    type, and every pattern that carries a further (x^2+y^2)/4 has its
+    linear weight summed into w before the one product.  All sums run
+    over the index families enumerated above.
     """
-    t = _check_upper_5x5(a)
+    t = _check_upper_5x5(t)
     lam = np.diag(t)
     ent = upper_entries(t)
     lins = [_lin(lam[i]) for i in range(_N)]
+    pairs = {(i, j): dict_mul(lins[i], lins[j]) for i, j in combinations(range(_N), 2)}
     pis = p_scalars(ent)
 
     q: dict = {}
+    w: dict = {}
 
     # transpositions against a leftover linear triple
     for (i, j, k), (l, m) in PART_32:
-        block = dict_mul(dict_mul(lins[i], lins[j]), lins[k])
+        block = dict_mul(pairs[(i, j)], lins[k])
         q = dict_add(q, block, abs(ent[(l, m)]) ** 2)
 
-    # 3-cycles against a leftover linear pair
+    # 3-cycles against a leftover linear pair, and (in w) against the
+    # modulus of the complementary transposition
     for (i, j), (k, l, m) in PART_23:
-        block = dict_mul(_xy(triple_product(ent, k, l, m)), dict_mul(lins[i], lins[j]))
-        q = dict_add(q, block, -1.0)
+        cyc = _xy(triple_product(ent, k, l, m))
+        q = dict_add(q, dict_mul(cyc, pairs[(i, j)]), -1.0)
+        w = dict_add(w, cyc, abs(ent[(i, j)]) ** 2)
 
-    # (2,2)-patterns and crossing 4-cycles of a fixed complement
+    # (in w) (2,2)-patterns and crossing 4-cycles of a fixed complement
     for i in range(_N):
-        q = dict_add(q, dict_mul(_E4, lins[i]), -pis[i])
+        w = dict_add(w, lins[i], -pis[i])
 
     # monotone 4-cycles against one leftover linear factor
     for (i,), (j, k, l, m) in PART_14:
         q = dict_add(q, dict_mul(lins[i], _quad_form(quad_product(ent, j, k, l, m))))
 
-    # 3-cycle times the modulus of the complementary transposition
-    for (i, j), (k, l, m) in PART_23:
-        block = dict_mul(_E4, _xy(triple_product(ent, k, l, m)))
-        q = dict_add(q, block, abs(ent[(i, j)]) ** 2)
-
-    # non-monotone 5-cycles, grouped by descent pattern
+    # (in w) non-monotone 5-cycles, grouped by descent pattern
     for idx in FAM6:
-        q = dict_add(q, dict_mul(_E4, _xy(fam6_product(ent, idx))), -1.0)
+        w = dict_add(w, _xy(fam6_product(ent, idx)), -1.0)
     for idx in FAM7:
-        q = dict_add(q, dict_mul(_E4, _xy(fam7_product(ent, idx))), -1.0)
+        w = dict_add(w, _xy(fam7_product(ent, idx)), -1.0)
 
     # the monotone 5-cycle carries a cubic harmonic weight
     w5 = five_product(ent)
@@ -257,11 +257,20 @@ def kipp_poly_expanded(a) -> HomoPoly3:
         },
         -0.25,
     )
+    return HomoPoly3(3, prune(dict_add(q, dict_mul(_E4, w))))
 
+
+def kipp_poly_expanded(a) -> HomoPoly3:
+    """Closed-form p_A for 5x5 upper-triangular A: prod L_i - ((x^2+y^2)/4) Q.
+
+    L_i and the correction cubic Q are as in `_correction_cubic`; no
+    eigensolve is involved, so this route is independent of the sweep.
+    """
+    t = _check_upper_5x5(a)
     prod = {(0, 0, 0): 1.0}
-    for i in range(_N):
-        prod = dict_mul(prod, lins[i])
-    full = dict_add(prod, dict_mul(_E4, q), -1.0)
+    for lam in np.diag(t):
+        prod = dict_mul(prod, _lin(lam))
+    full = dict_add(prod, dict_mul(_E4, _correction_cubic(t).coeffs), -1.0)
     return HomoPoly3(_N, prune(full))
 
 

@@ -136,10 +136,19 @@ class TestFitEllipseFactor:
         assert quot.degree == 3
 
     def test_degenerate_pair_gives_zero_axis(self):
+        # a real focus pair has no ellipse: roundoff in the fitted axis
+        # square must not come back as a positive minor axis
         p = kipp_poly_det(np.diag([0.5, -0.5, 0.2]))
         r, _, resid = fit_ellipse_factor(p, 0.5, -0.5)
-        assert abs(r) < 1e-10
+        assert r == 0.0
         assert resid < 1e-10
+        for scale in (1.0, 10.0):
+            rng = np.random.default_rng(404)
+            for _ in range(200):
+                d = scale * rng.uniform(-1.0, 1.0, size=3)
+                r, _, resid = fit_ellipse_factor(kipp_poly_det(np.diag(d)), d[0], d[1])
+                assert r == 0.0, (d, r)
+                assert resid < 1e-10
 
     def test_negative_axis_square_raises(self):
         # plant a "conic" factor with t = -1: legitimate polynomial, not an ellipse
@@ -214,6 +223,52 @@ class TestReports:
         # the disequality rows carry their margins as satisfied predicates
         assert rep.row("h").residual == 0.0
         assert rep.row("i").residual == 0.0
+
+    def test_report_values_pinned(self):
+        # each side on its own, so a sign slip that hits lhs and rhs alike
+        # still shows; the values come from an independent hand expansion
+        # of every row as index sums over the matrix entries
+        rng = np.random.default_rng(2016)
+        t = np.triu(0.5 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))))
+        roles = (2, 0, 4, 1, 3)
+        rhs = {
+            "a": 4.9999896182785415,
+            "b": -2.5016125911262153 - 0.14166210047935734j,
+            "c": -0.03003860962031174 - 0.2535762078060362j,
+            "d": -0.3138261286298021 - 0.017055489449027017j,
+            "e": 0.07450296604470627,
+            "f": -0.20830746956371357,
+            "g": -1.5215044572489682,
+        }
+        two_lhs = {
+            "a": 0.6924999999999999,
+            "b": -0.09638332739585055 + 0.3838404185982283j,
+            "c": 0.004159045658120905 + 0.16628199229093865j,
+            "d": -0.1441032882202713 - 0.1213804072364297j,
+            "e": 0.01199312401220552,
+            "f": -0.027826481972258215,
+            "g": -0.16631053449481656,
+        }
+        flat_lhs = {
+            "a": 3.6171357246050815,
+            "b": -4.218015723735213 - 1.538181600376626j,
+            "c": 1.3447781756462311 + 2.077947545263742j,
+            "d": -0.1724424173097739 - 0.5671344890462113j,
+            "e": -0.025549903400940127,
+            "f": -0.013889139907797726,
+            "g": 1.1157022479677696,
+            "h": 0.08235736731219719,
+            "i": 0.7810942708629723,
+        }
+        rhs.update(h=0.0, i=0.0)
+        for rep, lhs in (
+            (two_ellipse_report(t, roles, 0.7, 0.45), two_lhs),
+            (flat_report(t, roles, 0.6, 0.8, 0.35), flat_lhs),
+        ):
+            assert [row.label for row in rep.rows] == list(lhs)
+            for row in rep.rows:
+                assert abs(row.lhs - lhs[row.label]) < 1e-12, row
+                assert abs(row.rhs - rhs[row.label]) < 1e-12, row
 
     def test_report_row_lookup(self):
         lams = [0.1, 0.2, 0.3, 0.4, 0.5]

@@ -106,10 +106,19 @@ def test_boundary_csv(runner, j5_file):
 
 
 def test_malformed_matrix_file(runner, tmp_path):
+    # exit code 1 means "violations found", so bad input must never end there
     path = tmp_path / "bad.json"
-    path.write_text('{"dim": 2}')
-    res = runner.invoke(main, ["poly", str(path)])
-    assert res.exit_code == 3
+    for text in (
+        '{"dim": 2}',
+        '{"dim": 1, "entries": [[null, 0]]}',
+        '{"dim": 2, "entries": 5}',
+        '{"dim": 1, "entries": [[[1], 0]]}',
+        '{"dim": true, "entries": [[1, 0]]}',
+    ):
+        path.write_text(text)
+        for command in ("poly", "classify"):
+            res = runner.invoke(main, [command, str(path)])
+            assert res.exit_code == 3, (command, text, res.output)
 
 
 class TestGenerate:

@@ -40,6 +40,10 @@ def test_matrix_json_shape():
         {"dim": 0, "entries": []},
         {"dim": 1, "entries": [[np.inf, 0]]},
         {"dim": 1, "entries": [[1.0]]},
+        {"dim": 1, "entries": [[None, 0]]},
+        {"dim": 2, "entries": 5},
+        {"dim": 1, "entries": [[[1], 0]]},
+        {"dim": True, "entries": [[1, 0]]},
     ],
 )
 def test_matrix_from_json_rejects(obj):

@@ -10,7 +10,6 @@ from kippcurve.homopoly import (
     bimul,
     dict_add,
     dict_mul,
-    dict_scale,
     from_z_layers,
     max_abs_coeff,
     max_coeff_diff,
@@ -68,7 +67,6 @@ def test_dict_arithmetic():
     assert s[(1, 0, 0)] == 4.0 and s[(0, 1, 0)] == 6.0
     prod = dict_mul(a, b)
     assert prod == {(1, 1, 0): 6.0, (2, 0, 0): 2.0}
-    assert dict_scale(a, 0.5) == {(1, 0, 0): 1.0}
     assert prune({(1, 0, 0): 0.0, (0, 0, 1): 2.0}) == {(0, 0, 1): 2.0}
 
 
