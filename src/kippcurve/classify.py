@@ -8,7 +8,10 @@ interest factor it as
 where an ellipse with foci li, lj and minor axis r corresponds to the
 quadratic l_i l_j - (r^2/4)(x^2 + y^2), a point to a linear factor, and
 the flat cubic is a degree-3 factor whose dual curve carries a line
-segment.  `classify_curve` peels these factors off numerically;
+segment.  `classify_curve` peels these factors off numerically, each
+by one synthetic division (`homopoly.divide`) of the polynomial's
+coefficient array by a linear or conic form monic in z, and all model
+polynomials here are built as products of coefficient arrays;
 `two_ellipse_report` and `flat_report` evaluate the exact coefficient
 identities that characterize each factorization for upper-triangular
 input, labelled (a) through (g) plus the flat-case disequalities (h),
@@ -26,18 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeMinorAxisSquared, NotDim5
-from .homopoly import (
-    HomoPoly3,
-    bimul,
-    dict_add,
-    dict_mul,
-    from_z_layers,
-    max_abs_coeff,
-    max_coeff_diff,
-    prune,
-    z_layers,
-)
-from .kippenhahn import _check_upper_5x5, _correction_cubic, _lin, _pencil, kipp_poly_det
+from .homopoly import HomoPoly3, divide, linear, max_abs_coeff, max_coeff_diff, mul
+from .kippenhahn import _E4, _check_upper_5x5, _correction_cubic, _lin, _pencil, kipp_poly_det
 from .linalg import as_matrix, hermitian_parts, schur_triangularize
 
 DEFAULT_TOL = 1e-9
@@ -84,66 +77,38 @@ def divide_linear(p: HomoPoly3, lam) -> tuple[HomoPoly3, float]:
     Returns (quotient, residual) with the residual being the max-norm of
     the remainder's coefficients relative to p's.
     """
-    lam = complex(lam)
-    d = p.degree
-    if d < 1:
+    if p.degree < 1:
         raise ValueError("cannot divide a constant")
-    layers = z_layers(p)
-    r = np.array([-lam.real, -lam.imag])  # the root of the divisor in z
-    quot = [None] * d
-    quot[d - 1] = layers[d]
-    for k in range(d - 2, -1, -1):
-        quot[k] = layers[k + 1] + bimul(r, quot[k + 1])
-    rem = layers[0] + bimul(r, quot[0])
+    quot, rem = divide(p.c, _lin(complex(lam)))
     pmax = max_abs_coeff(p)
     resid = float(np.max(np.abs(rem))) / pmax if pmax > 0.0 else 0.0
-    return from_z_layers(quot), resid
-
-
-_E_BIV = np.array([1.0, 0.0, 1.0])  # x^2 + y^2 in the layer convention
-
-
-def _divide_conic(p: HomoPoly3, li: complex, lj: complex, t: float):
-    # divide by z^2 + s1 z + (l_i l_j minus (t/4)(x^2+y^2)), monic in z
-    d = p.degree
-    layers = z_layers(p)
-    s1 = np.array([li.real + lj.real, li.imag + lj.imag])
-    p2 = bimul(np.array([li.real, li.imag]), np.array([lj.real, lj.imag]))
-    q2 = p2 - (t / 4.0) * _E_BIV
-    quot = [np.zeros(1)] * (d - 1)
-    quot[d - 2] = layers[d]
-    if d >= 3:
-        quot[d - 3] = layers[d - 1] - bimul(s1, quot[d - 2])
-    for k in range(d - 4, -1, -1):
-        quot[k] = layers[k + 2] - bimul(s1, quot[k + 1]) - bimul(q2, quot[k + 2])
-    rem1 = layers[1] - bimul(s1, quot[0]) - (bimul(q2, quot[1]) if d >= 3 else 0.0)
-    rem0 = layers[0] - bimul(q2, quot[0])
-    return quot, np.concatenate([np.atleast_1d(rem1), np.atleast_1d(rem0)])
+    return HomoPoly3(quot), resid
 
 
 def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
     """Best minor axis r such that l_i l_j - (r^2/4)(x^2+y^2) divides p.
 
-    The division remainder is exactly quadratic in t = r^2, so three
-    divisions reconstruct it and the optimal t comes from the real
-    critical points of its squared norm.  A critical point within
-    roundoff of 0, |t| <= 1e-13 s^2 with s = max(1, |li|, |lj|), is the
-    t = 0 candidate, so r resolves down to about 3e-7 s and anything
-    smaller comes out as exactly 0.  Among candidates that divide
-    exactly, the largest t wins (outermost component first).  Raises
-    NegativeMinorAxisSquared when the best t is decisively negative.
-    Returns (r, quotient, residual) with the residual relative to p.
+    For p of degree at most 5 the division remainder is exactly
+    quadratic in t = r^2, u0 + u1 t + u2 t^2, so three divisions
+    reconstruct it, the optimal t comes from the real critical points of
+    its squared norm, and each candidate t is scored on that quadratic.
+    A critical point within roundoff of 0, |t| <= 1e-13 s^2 with
+    s = max(1, |li|, |lj|), is the t = 0 candidate, so r resolves down
+    to about 3e-7 s and anything smaller comes out as exactly 0.  Among
+    candidates that divide exactly, the largest t wins (outermost
+    component first).  Raises NegativeMinorAxisSquared when the best t
+    is decisively negative.  Returns (r, quotient, residual) with the
+    residual relative to p.
     """
     li, lj = complex(li), complex(lj)
-    if p.degree < 2:
-        raise ValueError("need degree >= 2 to remove a conic factor")
+    if not 2 <= p.degree <= 5:
+        raise ValueError("need degree 2..5 to remove a conic factor")
     pmax = max_abs_coeff(p)
     if pmax == 0.0:
         raise ValueError("zero polynomial")
 
-    rems = [_divide_conic(p, li, lj, float(t))[1] for t in (0.0, 1.0, 2.0)]
-    width = max(len(v) for v in rems)
-    r0, r1m, r2m = (np.pad(v, (0, width - len(v))) for v in rems)
+    lij = mul(_lin(li), _lin(lj))  # the divisor at t is lij - t (x^2+y^2)/4
+    r0, r1m, r2m = (divide(p.c, lij - t * _E4)[1].ravel() for t in (0.0, 1.0, 2.0))
     u2 = (r2m - 2.0 * r1m + r0) / 2.0
     u1 = r1m - r0 - u2
     u0 = r0
@@ -174,17 +139,17 @@ def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
     def phi(t):
         return float(c[0] + c[1] * t + c[2] * t**2 + c[3] * t**3 + c[4] * t**4)
 
-    def division_residual(t):
-        return float(np.max(np.abs(_divide_conic(p, li, lj, t)[1]))) / pmax
+    def remainder_residual(t):
+        return float(np.max(np.abs(u0 + u1 * t + u2 * t**2))) / pmax
 
-    exact = [t for t in cands if division_residual(t) < 1e-10]
+    exact = [t for t in cands if remainder_residual(t) < 1e-10]
     best = max(exact) if exact else min(cands, key=phi)
     if best < -tol:
         raise NegativeMinorAxisSquared(f"fitted axis square {best:.3e}")
     best = max(best, 0.0)
-    quot, rem = _divide_conic(p, li, lj, best)
+    quot, rem = divide(p.c, lij - best * _E4)
     resid = float(np.max(np.abs(rem))) / pmax
-    return float(np.sqrt(best)), from_z_layers(quot), resid
+    return float(np.sqrt(best)), HomoPoly3(quot), resid
 
 
 # --- flat-direction detection ---
@@ -304,15 +269,6 @@ def entry_condition_rhs(t) -> dict:
 
 
 _LABELS = "abcdefg"
-_E = {(2, 0, 0): 1.0, (0, 2, 0): 1.0}  # x^2 + y^2
-
-
-def _lincomb(*terms) -> dict:
-    # sum of weight * polynomial dict over (weight, dict) pairs
-    out: dict = {}
-    for weight, poly in terms:
-        out = dict_add(out, poly, weight)
-    return out
 
 
 def _report_from(lhs: dict, rhs: dict, extra: tuple = ()) -> ConditionReport:
@@ -336,8 +292,7 @@ def two_ellipse_report(t, roles, r: float, s: float) -> ConditionReport:
     tm = _check_upper_5x5(t)
     lp, lq, lt, lv, lw = (_lin(tm[i, i]) for i in roles)
     r2, s2 = float(r) ** 2, float(s) ** 2
-    inner = _lincomb((r2, dict_mul(lt, lv)), (s2, dict_mul(lp, lq)), (-0.25 * r2 * s2, _E))
-    q_target = HomoPoly3(3, dict_mul(lw, inner))
+    q_target = HomoPoly3(mul(lw, r2 * mul(lt, lv) + s2 * mul(lp, lq) - r2 * s2 * _E4))
     return _report_from(_pack(q_target), entry_condition_rhs(tm))
 
 
@@ -364,14 +319,8 @@ def flat_report(t, roles, r: float, theta: float, mu: float, tol: float = DEFAUL
     (lw, lt, lv), (mw, mt, mv) = trio, mus
     pr = mw * mt * mv
 
-    lpq = dict_mul(_lin(lam[p_]), _lin(lam[q_]))
-    q_target = HomoPoly3(
-        3,
-        _lincomb(
-            (r2, _flat_model(trio, mus, theta).coeffs),
-            (4.0, dict_mul(lpq, _flat_linear(trio, mus, theta))),
-        ),
-    )
+    lpq = mul(_lin(lam[p_]), _lin(lam[q_]))
+    q_target = HomoPoly3(r2 * _flat_model(trio, mus, theta).c + 4.0 * mul(lpq, _flat_linear(trio, mus, theta)))
 
     row_h = ConditionRow("h", complex(pr), 0.0, 0.0 if abs(pr) > tol else 1.0)
     margins = []
@@ -429,20 +378,18 @@ def _lex_key(z: complex):
 _FLAT_FIT_TOL = 1e-6
 
 
-def _flat_linear(trio, mus, theta: float) -> dict:
+def _flat_linear(trio, mus, theta: float) -> np.ndarray:
     # sum_j l_j mu_k mu_l - 2 (prod mu)(x cos theta + y sin theta)
     lw, lt, lv = (_lin(l) for l in trio)
     mw, mt, mv = mus
-    harm = {(1, 0, 0): float(np.cos(theta)), (0, 1, 0): float(np.sin(theta))}
-    return _lincomb((mt * mv, lw), (mw * mv, lt), (mw * mt, lv), (-2.0 * mw * mt * mv, harm))
+    harm = linear(np.cos(theta), np.sin(theta), 0.0)
+    return mt * mv * lw + mw * mv * lt + mw * mt * lv - 2.0 * mw * mt * mv * harm
 
 
 def _flat_model(trio, mus, theta: float) -> HomoPoly3:
     # l_w l_t l_v - (x^2+y^2) times the linear form of _flat_linear
     lw, lt, lv = (_lin(l) for l in trio)
-    cub = dict_mul(dict_mul(lw, lt), lv)
-    model = dict_add(cub, dict_mul(_E, _flat_linear(trio, mus, theta)), -1.0)
-    return HomoPoly3(3, prune(model))
+    return HomoPoly3(mul(mul(lw, lt), lv) - 4.0 * mul(_E4, _flat_linear(trio, mus, theta)))
 
 
 def classify_curve(a, tol: float = DEFAULT_TOL) -> list:
@@ -521,7 +468,7 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> list:
             _, th, mu = best
             foci = tuple(sorted((complex(l) for l in trio), key=_lex_key))
             tail.append(FlatQuarticComponent(foci, float(th), float(mu)))
-            cur = HomoPoly3(0, {(0, 0, 0): 1.0})
+            cur = HomoPoly3(np.ones((1, 1)))
             remaining = []
     if cur.degree >= 1:
         tail.append(UnclassifiedComponent(cur.degree))

@@ -73,11 +73,7 @@ def dump_matrix(m, path) -> None:
 
 
 def poly_to_json(p: HomoPoly3) -> dict:
-    terms = [
-        {"i": i, "j": j, "k": k, "c": float(c)}
-        for (i, j, k), c in sorted(p.coeffs.items())
-        if c != 0.0
-    ]
+    terms = [{"i": i, "j": j, "k": k, "c": c} for (i, j, k), c in sorted(p.coeffs.items())]
     return {"degree": p.degree, "terms": terms}
 
 
@@ -88,7 +84,7 @@ def poly_from_json(obj: dict) -> HomoPoly3:
     for t in obj["terms"]:
         key = (int(t["i"]), int(t["j"]), int(t["k"]))
         coeffs[key] = float(t["c"])
-    return HomoPoly3(int(obj["degree"]), coeffs)
+    return HomoPoly3.from_terms(int(obj["degree"]), coeffs)
 
 
 def component_to_json(comp) -> dict:

@@ -1,27 +1,62 @@
-"""Homogeneous trivariate real polynomials keyed by exponent triples."""
+"""Homogeneous trivariate real polynomials as dense coefficient arrays.
+
+A form of degree d is one (d+1, d+1) array c with c[j, k] the
+coefficient of x^(d-j-k) y^j z^k; entries with j + k > d are zero.
+Column k is the z^k layer, a bivariate form of degree d - k indexed by
+its power of y, which is what division by a form monic in z works on.
+The product of two forms is a 2-D convolution of their arrays.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomoPoly3:
     """Homogeneous polynomial in (x, y, z) with real coefficients.
 
-    coeffs maps exponent triples (i, j, k) with i + j + k == degree to
-    their coefficient.  Treated as immutable once constructed.
+    c is the coefficient array described in the module docstring; it is
+    copied on construction and read-only afterwards.
     """
 
-    degree: int
-    coeffs: dict = field(default_factory=dict)
+    c: np.ndarray
 
     def __post_init__(self):
-        for key in self.coeffs:
-            if len(key) != 3 or sum(key) != self.degree or min(key) < 0:
-                raise ValueError(f"exponents {key} inconsistent with degree {self.degree}")
+        c = np.array(self.c, dtype=float)
+        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] == 0:
+            raise ValueError(f"coefficient array must be square and non-empty, got shape {c.shape}")
+        if np.tril(c[:, ::-1], -1).any():
+            raise ValueError("coefficients beyond the degree must vanish")
+        c.flags.writeable = False
+        object.__setattr__(self, "c", c)
+
+    @classmethod
+    def from_terms(cls, degree: int, terms) -> HomoPoly3:
+        """Build from a mapping of exponent triples (i, j, k) to coefficients."""
+        c = np.zeros((degree + 1, degree + 1))
+        for key, val in terms.items():
+            if len(key) != 3 or sum(key) != degree or min(key) < 0:
+                raise ValueError(f"exponents {key} inconsistent with degree {degree}")
+            c[key[1], key[2]] = val
+        return cls(c)
+
+    @property
+    def degree(self) -> int:
+        return self.c.shape[0] - 1
+
+    @cached_property
+    def coeffs(self):
+        """Read-only mapping of exponent triples (i, j, k) to the nonzero coefficients."""
+        d = self.degree
+        js, ks = np.nonzero(self.c)
+        return MappingProxyType(
+            {(d - j - k, j, k): float(self.c[j, k]) for j, k in zip(js.tolist(), ks.tolist())}
+        )
 
     def __call__(self, x, y, z):
         x = np.asarray(x, dtype=float)
@@ -33,47 +68,67 @@ class HomoPoly3:
         return out if out.shape else float(out)
 
     def coeff(self, i: int, j: int, k: int) -> float:
-        return self.coeffs.get((i, j, k), 0.0)
+        if min(i, j, k) < 0 or i + j + k != self.degree:
+            return 0.0
+        return float(self.c[j, k])
 
 
 def max_abs_coeff(p: HomoPoly3) -> float:
-    return max((abs(c) for c in p.coeffs.values()), default=0.0)
-
-
-def poly_close(p: HomoPoly3, q: HomoPoly3, tol: float) -> bool:
-    """Coefficient-wise agreement within tol (absolute)."""
-    if p.degree != q.degree:
-        return False
-    keys = set(p.coeffs) | set(q.coeffs)
-    return all(abs(p.coeff(*k) - q.coeff(*k)) <= tol for k in keys)
+    return float(np.max(np.abs(p.c)))
 
 
 def max_coeff_diff(p: HomoPoly3, q: HomoPoly3) -> float:
-    keys = set(p.coeffs) | set(q.coeffs)
-    return max((abs(p.coeff(*k) - q.coeff(*k)) for k in keys), default=0.0)
+    if p.degree != q.degree:
+        raise ValueError(f"degrees differ: {p.degree} and {q.degree}")
+    return float(np.max(np.abs(p.c - q.c)))
 
 
-# --- raw dict arithmetic, used to assemble polynomials term by term ---
+# --- arithmetic on coefficient arrays ---
 
 
-def dict_add(a: dict, b: dict, factor: float = 1.0) -> dict:
-    out = dict(a)
-    for key, c in b.items():
-        out[key] = out.get(key, 0.0) + factor * c
-    return out
+def linear(cx: float, cy: float, cz: float) -> np.ndarray:
+    """Coefficient array of cx x + cy y + cz z."""
+    return np.array([[cx, cz], [cy, 0.0]], dtype=float)
 
 
-def dict_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (i1, j1, k1), c1 in a.items():
-        for (i2, j2, k2), c2 in b.items():
-            key = (i1 + i2, j1 + j2, k1 + k2)
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return out
+def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient array of the product of the forms with arrays a and b.
+
+    Rows padded to the product's width n turn the 2-D convolution into
+    one 1-D convolution: index j n + k never carries into the next row.
+    """
+    n = a.shape[0] + b.shape[0] - 1
+    fa = np.zeros((a.shape[0], n))
+    fa[:, : a.shape[1]] = a
+    fb = np.zeros((b.shape[0], n))
+    fb[:, : b.shape[1]] = b
+    return np.convolve(fa.ravel(), fb.ravel())[: n * n].reshape(n, n)
 
 
-def prune(a: dict) -> dict:
-    return {key: c for key, c in a.items() if c != 0.0}
+def divide(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Synthetic division p = g q + r by a form g monic in z.
+
+    g has degree e and z^e coefficient 1.  Layer k of p is
+    sum_{i+s=k} g_i q_s + r_k, so the quotient layers come out from the
+    top and the remainder layers, z^0..z^(e-1), at the bottom.  Returns
+    the arrays of q and of r, the latter with p's shape.
+    """
+    d, e = p.shape[0] - 1, g.shape[0] - 1
+    m = d - e
+    if m < 0:
+        raise ValueError(f"cannot divide degree {d} by degree {e}")
+    q = np.zeros((m + 1, m + 1))
+    r = np.zeros_like(p)
+    for k in range(d, -1, -1):
+        acc = p[: d - k + 1, k]
+        for i in range(e - 1, -1, -1):
+            if 0 <= k - i <= m:
+                acc = acc - np.convolve(g[: e - i + 1, i], q[: m - k + i + 1, k - i])
+        if k >= e:
+            q[: d - k + 1, k - e] = acc
+        else:
+            r[: d - k + 1, k] = acc
+    return q, r
 
 
 def substitute_linear(p: HomoPoly3, x_form, y_form, z_form) -> HomoPoly3:
@@ -82,47 +137,19 @@ def substitute_linear(p: HomoPoly3, x_form, y_form, z_form) -> HomoPoly3:
     Forms are coefficient triples: z_form = (u, v, 1) sends z to
     u*x + v*y + z.  Homogeneity of p is preserved exactly, so this is
     the right tool for checking the polynomial transformation laws
-    under translation and rotation of the matrix.
+    under translation and rotation of the matrix.  Each z-layer is
+    expanded by Horner's rule in Y over the powers of X, and the layers
+    by Horner's rule in Z.
     """
-    forms = []
-    for triple in (x_form, y_form, z_form):
-        cx, cy, cz = (float(t) for t in triple)
-        forms.append(prune({(1, 0, 0): cx, (0, 1, 0): cy, (0, 0, 1): cz}))
-    out: dict = {}
-    for (i, j, k), c in p.coeffs.items():
-        term = {(0, 0, 0): c}
-        for form, power in zip(forms, (i, j, k)):
-            for _ in range(power):
-                term = dict_mul(term, form)
-        out = dict_add(out, term)
-    return HomoPoly3(p.degree, prune(out))
-
-
-# --- bivariate homogeneous helpers for division in z ---
-#
-# A homogeneous bivariate of degree m is a length m+1 array `v` with
-# v[j] = coefficient of x**(m-j) * y**j.
-
-
-def z_layers(p: HomoPoly3) -> list[np.ndarray]:
-    """layers[k][j] = coefficient of x**(d-k-j) y**j z**k, for k = 0..degree."""
+    fx, fy, fz = (linear(*(float(t) for t in f)) for f in (x_form, y_form, z_form))
     d = p.degree
-    layers = [np.zeros(d - k + 1) for k in range(d + 1)]
-    for (i, j, k), c in p.coeffs.items():
-        layers[k][j] = c
-    return layers
-
-
-def from_z_layers(layers: list[np.ndarray]) -> HomoPoly3:
-    d = len(layers) - 1
-    coeffs: dict = {}
-    for k, layer in enumerate(layers):
-        for j, c in enumerate(np.asarray(layer, dtype=float)):
-            if c != 0.0:
-                coeffs[(d - k - j, j, k)] = float(c)
-    return HomoPoly3(d, coeffs)
-
-
-def bimul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of homogeneous bivariates in the layer convention."""
-    return np.convolve(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    xpow = [np.ones((1, 1))]
+    for _ in range(d):
+        xpow.append(mul(xpow[-1], fx))
+    out = np.zeros((1, 1))
+    for k in range(d, -1, -1):
+        layer = np.full((1, 1), p.c[d - k, k])
+        for j in range(d - k - 1, -1, -1):
+            layer = mul(layer, fy) + p.c[j, k] * xpow[d - k - j]
+        out = layer if k == d else mul(out, fz) + layer
+    return HomoPoly3(out)

@@ -31,7 +31,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import BadDims, IllConditionedInterpolation, NotDim5, NotUpperTriangular
-from .homopoly import HomoPoly3, dict_add, dict_mul, prune
+from .homopoly import HomoPoly3, linear, mul
 from .linalg import as_matrix, hermitian_parts
 
 MAX_DEGREE = 12  # largest degree the sweep route is tested at
@@ -57,7 +57,8 @@ def kipp_poly_det(a) -> HomoPoly3:
     the m-th elementary symmetric function of the lam_j(t), a form of
     degree m in (cos t, sin t).  Each layer is sampled at 2n + 2 equispaced
     angles and fitted by least squares in the monomials cos^(m-j) sin^j;
-    the z^n layer is 1, so the result is monic by construction.  Raises
+    the z^n layer is 1, so the result is monic by construction.  Each
+    fitted layer is column n - m of the coefficient array.  Raises
     IllConditionedInterpolation when a layer's fit residual exceeds 1e-8
     relative to rho^m, rho the largest eigenvalue modulus of the sweep.
     """
@@ -78,17 +79,16 @@ def kipp_poly_det(a) -> HomoPoly3:
     powers = np.arange(n + 1)
     cos_pow = np.cos(thetas)[:, None] ** powers
     sin_pow = np.sin(thetas)[:, None] ** powers
-    coeffs = {(0, 0, n): 1.0}
+    c = np.zeros((n + 1, n + 1))
+    c[0, n] = 1.0
     for deg in range(1, n + 1):
         design = cos_pow[:, deg::-1] * sin_pow[:, : deg + 1]  # columns cos^(deg-j) sin^j
         coef, *_ = np.linalg.lstsq(design, esym[:, deg], rcond=None)
         resid = float(np.max(np.abs(design @ coef - esym[:, deg])))
         if resid > 1e-8 * rho**deg:
             raise IllConditionedInterpolation(f"z^{n - deg} layer fit residual {resid:.3e}")
-        for j, c in enumerate(coef):
-            if c != 0.0:
-                coeffs[(deg - j, j, n - deg)] = float(c)
-    return HomoPoly3(n, coeffs)
+        c[: deg + 1, n - deg] = coef
+    return HomoPoly3(c)
 
 
 # --- entry-product sums of the closed form for 5x5 upper-triangular matrices ---
@@ -113,17 +113,17 @@ def upper_entries(t: np.ndarray) -> dict:
 
 def triple_product(a: dict, k: int, l: int, m: int) -> complex:
     """Cyclic product a_kl a_lm conj(a_km) for k < l < m."""
-    return a[(k, l)] * a[(l, m)] * np.conj(a[(k, m)])
+    return a[(k, l)] * a[(l, m)] * a[(k, m)].conjugate()
 
 
 def quad_product(a: dict, j: int, k: int, l: int, m: int) -> complex:
     """Chain product a_jk a_kl a_lm conj(a_jm) for j < k < l < m."""
-    return a[(j, k)] * a[(k, l)] * a[(l, m)] * np.conj(a[(j, m)])
+    return a[(j, k)] * a[(k, l)] * a[(l, m)] * a[(j, m)].conjugate()
 
 
 def five_product(a: dict) -> complex:
     """Full chain a_12 a_23 a_34 a_45 conj(a_15) in 1-based labelling."""
-    return a[(0, 1)] * a[(1, 2)] * a[(2, 3)] * a[(3, 4)] * np.conj(a[(0, 4)])
+    return a[(0, 1)] * a[(1, 2)] * a[(2, 3)] * a[(3, 4)] * a[(0, 4)].conjugate()
 
 
 def p_scalars(a: dict) -> list[float]:
@@ -141,16 +141,17 @@ def p_scalars(a: dict) -> list[float]:
             + abs(a[(w1, w3)]) ** 2 * abs(a[(w2, w4)]) ** 2
             + abs(a[(w1, w4)]) ** 2 * abs(a[(w2, w3)]) ** 2
         )
-        cyc_a = a[(w1, w2)] * a[(w2, w4)] * np.conj(a[(w1, w3)]) * np.conj(a[(w3, w4)])
-        cyc_b = a[(w1, w4)] * a[(w2, w3)] * np.conj(a[(w1, w3)]) * np.conj(a[(w2, w4)])
+        cyc_a = a[(w1, w2)] * a[(w2, w4)] * a[(w1, w3)].conjugate() * a[(w3, w4)].conjugate()
+        cyc_b = a[(w1, w4)] * a[(w2, w3)] * a[(w1, w3)].conjugate() * a[(w2, w4)].conjugate()
         out.append(float(pairs - 2.0 * cyc_a.real - 2.0 * cyc_b.real))
     return out
 
 
 # index families, enumerated once
 PART_32 = [(t, tuple(sorted(set(range(_N)) - set(t)))) for t in combinations(range(_N), 3)]
-PART_23 = [(p, t) for (t, p) in PART_32]
 PART_14 = [((i,), tuple(sorted(set(range(_N)) - {i}))) for i in range(_N)]
+_TRIPLES = np.array([t for t, _ in PART_32]).T
+_PAIRS = np.array([p for _, p in PART_32]).T
 
 # 5-cycle inverse pairs beyond the monotone chain, split by descent pattern:
 # FAM6 indexes (i, j, k, l, m) with i<j<k<l and i<m<l,
@@ -169,35 +170,38 @@ FAM7 = [
 
 def fam6_product(a: dict, idx: tuple) -> complex:
     i, j, k, l, m = idx
-    return a[(i, j)] * a[(j, k)] * a[(k, l)] * np.conj(a[(i, m)]) * np.conj(a[(m, l)])
+    return a[(i, j)] * a[(j, k)] * a[(k, l)] * a[(i, m)].conjugate() * a[(m, l)].conjugate()
 
 
 def fam7_product(a: dict, idx: tuple) -> complex:
     i, j, k, l, m = idx
-    return a[(i, j)] * a[(j, k)] * a[(l, m)] * np.conj(a[(i, m)]) * np.conj(a[(l, k)])
+    return a[(i, j)] * a[(j, k)] * a[(l, m)] * a[(i, m)].conjugate() * a[(l, k)].conjugate()
 
 
 # --- closed-form route for 5x5 upper-triangular matrices ---
 
-_E4 = {(2, 0, 0): 0.25, (0, 2, 0): 0.25}  # (x^2 + y^2) / 4
+_E4 = np.array([[0.25, 0.0, 0.0], [0.0, 0.0, 0.0], [0.25, 0.0, 0.0]])  # (x^2 + y^2) / 4
+
+# monomial x^(3-j-k) y^j z^k of each entry (a, b, c) of a cubic tensor over
+# the variables (x, y, z), as the flat index 4 j + k of its coefficient
+_ABC = np.indices((3, 3, 3)).reshape(3, -1)
+_FOLD3 = 4 * np.sum(_ABC == 1, axis=0) + np.sum(_ABC == 2, axis=0)
 
 
-def _lin(lam: complex) -> dict:
-    return {(1, 0, 0): float(lam.real), (0, 1, 0): float(lam.imag), (0, 0, 1): 1.0}
+def _lin(lam: complex) -> np.ndarray:
+    return linear(lam.real, lam.imag, 1.0)
 
 
-def _xy(w: complex) -> dict:
-    # x Re w + y Im w
-    return {(1, 0, 0): float(w.real), (0, 1, 0): float(w.imag)}
+def _xy(w) -> np.ndarray:
+    # x Re w + y Im w as vectors over (x, y, z), for a complex scalar or array w
+    w = np.asarray(w)
+    return np.stack([w.real, w.imag, np.zeros(w.shape)], axis=-1)
 
 
-def _quad_form(w: complex) -> dict:
-    # (x^2 - y^2)/2 Re w + x y Im w
-    return {
-        (2, 0, 0): 0.5 * float(w.real),
-        (0, 2, 0): -0.5 * float(w.real),
-        (1, 1, 0): float(w.imag),
-    }
+def _quad_form(w: complex) -> np.ndarray:
+    # (x^2 - y^2)/2 Re w + x y Im w, as a symmetric matrix over (x, y, z)
+    re, im = 0.5 * w.real, 0.5 * w.imag
+    return np.array([[re, im, 0.0], [im, -re, 0.0], [0.0, 0.0, 0.0]])
 
 
 def _correction_cubic(t) -> HomoPoly3:
@@ -207,57 +211,43 @@ def _correction_cubic(t) -> HomoPoly3:
     Q collects the non-identity permutations of the determinant by cycle
     type, and every pattern that carries a further (x^2+y^2)/4 has its
     linear weight summed into w before the one product.  All sums run
-    over the index families enumerated above.
+    over the index families enumerated above.  The patterns against
+    leftover linear factors are summed as one cubic tensor over
+    (x, y, z), which is folded into coefficients at the end.
     """
     t = _check_upper_5x5(t)
     lam = np.diag(t)
     ent = upper_entries(t)
-    lins = [_lin(lam[i]) for i in range(_N)]
-    pairs = {(i, j): dict_mul(lins[i], lins[j]) for i, j in combinations(range(_N), 2)}
+    lins = np.stack([lam.real, lam.imag, np.ones(_N)], axis=1)
     pis = p_scalars(ent)
 
-    q: dict = {}
-    w: dict = {}
-
-    # transpositions against a leftover linear triple
-    for (i, j, k), (l, m) in PART_32:
-        block = dict_mul(pairs[(i, j)], lins[k])
-        q = dict_add(q, block, abs(ent[(l, m)]) ** 2)
-
-    # 3-cycles against a leftover linear pair, and (in w) against the
-    # modulus of the complementary transposition
-    for (i, j), (k, l, m) in PART_23:
-        cyc = _xy(triple_product(ent, k, l, m))
-        q = dict_add(q, dict_mul(cyc, pairs[(i, j)]), -1.0)
-        w = dict_add(w, cyc, abs(ent[(i, j)]) ** 2)
-
-    # (in w) (2,2)-patterns and crossing 4-cycles of a fixed complement
-    for i in range(_N):
-        w = dict_add(w, lins[i], -pis[i])
+    # each split into a triple and its complementary pair gives two
+    # rank-one terms f1 f2 f3: the pair's transposition against the
+    # triple's linear factors, and the triple's 3-cycle against the pair's;
+    # (in w) the 3-cycle against the pair's transposition
+    mod2 = np.array([abs(ent[pair]) ** 2 for _, pair in PART_32])
+    cyc = _xy([triple_product(ent, *tri) for tri, _ in PART_32])
+    f1 = np.concatenate([mod2[:, None] * lins[_TRIPLES[0]], -lins[_PAIRS[0]]])
+    f2 = np.concatenate([lins[_TRIPLES[1]], lins[_PAIRS[1]]])
+    f3 = np.concatenate([lins[_TRIPLES[2]], cyc])
+    cubic = np.einsum("na,nb,nc->abc", f1, f2, f3)
+    w = mod2 @ cyc
 
     # monotone 4-cycles against one leftover linear factor
-    for (i,), (j, k, l, m) in PART_14:
-        q = dict_add(q, dict_mul(lins[i], _quad_form(quad_product(ent, j, k, l, m))))
+    quads = np.array([_quad_form(quad_product(ent, *rest)) for _, rest in PART_14])
+    cubic += np.einsum("ia,ibc->abc", lins, quads)
 
-    # (in w) non-monotone 5-cycles, grouped by descent pattern
-    for idx in FAM6:
-        w = dict_add(w, _xy(fam6_product(ent, idx)), -1.0)
-    for idx in FAM7:
-        w = dict_add(w, _xy(fam7_product(ent, idx)), -1.0)
+    # (in w) (2,2)-patterns and crossing 4-cycles of a fixed complement,
+    # and the non-monotone 5-cycles grouped by descent pattern
+    w -= np.asarray(pis) @ lins
+    w -= _xy(sum(fam6_product(ent, idx) for idx in FAM6) + sum(fam7_product(ent, idx) for idx in FAM7))
 
+    q = np.bincount(_FOLD3, weights=cubic.ravel(), minlength=16).reshape(4, 4)
+    q += mul(_E4, linear(*w))
     # the monotone 5-cycle carries a cubic harmonic weight
     w5 = five_product(ent)
-    q = dict_add(
-        q,
-        {
-            (3, 0, 0): float(w5.real),
-            (1, 2, 0): -3.0 * float(w5.real),
-            (2, 1, 0): 3.0 * float(w5.imag),
-            (0, 3, 0): -float(w5.imag),
-        },
-        -0.25,
-    )
-    return HomoPoly3(3, prune(dict_add(q, dict_mul(_E4, w))))
+    q[:, 0] -= 0.25 * np.array([w5.real, 3.0 * w5.imag, -3.0 * w5.real, -w5.imag])
+    return HomoPoly3(q)
 
 
 def kipp_poly_expanded(a) -> HomoPoly3:
@@ -267,11 +257,10 @@ def kipp_poly_expanded(a) -> HomoPoly3:
     eigensolve is involved, so this route is independent of the sweep.
     """
     t = _check_upper_5x5(a)
-    prod = {(0, 0, 0): 1.0}
+    prod = np.ones((1, 1))
     for lam in np.diag(t):
-        prod = dict_mul(prod, _lin(lam))
-    full = dict_add(prod, dict_mul(_E4, _correction_cubic(t).coeffs), -1.0)
-    return HomoPoly3(_N, prune(full))
+        prod = mul(prod, _lin(lam))
+    return HomoPoly3(prod - mul(_E4, _correction_cubic(t).c))
 
 
 # --- spectral geometry of the pencil ---

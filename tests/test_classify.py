@@ -26,13 +26,46 @@ from kippcurve.generators import (
     s5_family,
     two_ellipse_block,
 )
-from kippcurve.homopoly import HomoPoly3, dict_mul, prune
+from kippcurve.generators import random_partial_isometry
+from kippcurve.homopoly import HomoPoly3, divide, linear, mul
 from kippcurve.kippenhahn import kipp_poly_det
 from kippcurve.linalg import schur_triangularize
 
 
-def lin_dict(lam):
-    return prune({(1, 0, 0): lam.real, (0, 1, 0): lam.imag, (0, 0, 1): 1.0})
+def lin(lam):
+    return linear(lam.real, lam.imag, 1.0)
+
+
+E4 = HomoPoly3.from_terms(2, {(2, 0, 0): 0.25, (0, 2, 0): 0.25}).c
+
+
+def axis_square_by_redividing(p, li, lj, tol=1e-9):
+    """The t = r^2 fit_ellipse_factor should pick, scoring each candidate by a fresh division.
+
+    None when the pick is decisively negative.
+    """
+    pmax = np.max(np.abs(p.c))
+    conic = mul(lin(li), lin(lj))
+
+    def rem(t):
+        return divide(p.c, conic - t * E4)[1].ravel()
+
+    r0, r1, r2 = rem(0.0), rem(1.0), rem(2.0)
+    u2 = (r2 - 2.0 * r1 + r0) / 2.0
+    u1 = r1 - r0 - u2
+    c = [r0 @ r0, 2.0 * (r0 @ u1), 2.0 * (r0 @ u2) + u1 @ u1, 2.0 * (u1 @ u2), u2 @ u2]
+    dcoef = np.array([4.0 * c[4], 3.0 * c[3], 2.0 * c[2], c[1]])
+    cands = [0.0]
+    if np.max(np.abs(dcoef)) > 0.0:
+        dn = dcoef / np.max(np.abs(dcoef))
+        dn = dn[np.argmax(np.abs(dn) > 1e-14) :]
+        t_zero = 1e-13 * max(1.0, abs(li), abs(lj)) ** 2
+        for root in np.roots(dn) if len(dn) > 1 else []:
+            if abs(root.imag) <= 1e-9 * (1.0 + abs(root.real)):
+                cands.append(float(root.real) if abs(root.real) > t_zero else 0.0)
+    exact = [t for t in cands if np.max(np.abs(rem(t))) / pmax < 1e-10]
+    best = max(exact) if exact else min(cands, key=lambda t: c[0] + c[1] * t + c[2] * t**2 + c[3] * t**3 + c[4] * t**4)
+    return None if best < -tol else max(best, 0.0)
 
 
 # --- disc fit ---
@@ -91,12 +124,11 @@ class TestFitDisc:
 class TestDivideLinear:
     def test_planted_factor(self):
         lam = 0.4 - 0.3j
-        q = {(2, 0, 0): 1.0, (1, 1, 0): -0.7, (0, 0, 2): 2.0, (1, 0, 1): 0.3}
-        p_dict = dict_mul(lin_dict(lam), q)
-        p = HomoPoly3(3, prune(p_dict))
+        q = HomoPoly3.from_terms(2, {(2, 0, 0): 1.0, (1, 1, 0): -0.7, (0, 0, 2): 2.0, (1, 0, 1): 0.3})
+        p = HomoPoly3(mul(lin(lam), q.c))
         quot, resid = divide_linear(p, lam)
         assert resid < 1e-12
-        for key, c in q.items():
+        for key, c in q.coeffs.items():
             assert abs(quot.coeff(*key) - c) < 1e-10
 
     def test_wrong_eigenvalue_leaves_residual(self):
@@ -114,14 +146,14 @@ class TestDivideLinear:
         """Dividing L*Q by L always recovers Q with tiny residual."""
         rng = np.random.default_rng(seed)
         keys = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
-        q = {k: float(c) for k, c in zip(keys, rng.uniform(-2, 2, size=6))}
+        q = HomoPoly3.from_terms(2, {k: float(c) for k, c in zip(keys, rng.uniform(-2, 2, size=6))})
         lam = complex(re, im)
-        p = HomoPoly3(3, prune(dict_mul(lin_dict(lam), q)))
+        p = HomoPoly3(mul(lin(lam), q.c))
         if not p.coeffs:
             return
         quot, resid = divide_linear(p, lam)
         assert resid < 1e-10
-        for key, c in q.items():
+        for key, c in q.coeffs.items():
             assert abs(quot.coeff(*key) - c) < 1e-8
 
 
@@ -134,6 +166,30 @@ class TestFitEllipseFactor:
         assert abs(r - 0.8) < 1e-10
         assert resid < 1e-10
         assert quot.degree == 3
+
+        # the quadratic remainder model picks the t that re-dividing at
+        # every candidate picks: criterion-3 draws and random partial isometries
+        rng = np.random.default_rng(11002)
+        mats = []
+        for _ in range(50):
+            lams = [0.5 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()) for _ in range(5)]
+            r_, s_ = rng.uniform(0.3, 0.9, size=2)
+            u = haar_unitary(5, rng)
+            mats.append(u.conj().T @ two_ellipse_block(*lams, r_, s_) @ u)
+        mats += [random_partial_isometry(5, 1 + i % 3, 5000 + i) for i in range(200)]
+        for a in mats:
+            p = kipp_poly_det(a)
+            eigs = schur_triangularize(a, order="lex").eigenvalues
+            for i in range(5):
+                for j in range(i + 1, 5):
+                    want = axis_square_by_redividing(p, eigs[i], eigs[j])
+                    try:
+                        r, _, _ = fit_ellipse_factor(p, eigs[i], eigs[j])
+                    except NegativeMinorAxisSquared:
+                        r = None
+                    assert (r is None) == (want is None), (i, j, r, want)
+                    if want is not None:
+                        assert r == np.sqrt(want), (i, j, r, want)
 
     def test_degenerate_pair_gives_zero_axis(self):
         # a real focus pair has no ellipse: roundoff in the fitted axis
@@ -150,12 +206,17 @@ class TestFitEllipseFactor:
                 assert r == 0.0, (d, r)
                 assert resid < 1e-10
 
+    def test_degree_outside_quadratic_remainder_rejected(self):
+        # the remainder is quadratic in t = r^2 only up to degree 5
+        p = kipp_poly_det(np.diag([0.5, -0.5, 0.2, 0.1j, -0.3j, 0.4]))
+        with pytest.raises(ValueError):
+            fit_ellipse_factor(p, 0.5, -0.5)
+
     def test_negative_axis_square_raises(self):
         # plant a "conic" factor with t = -1: legitimate polynomial, not an ellipse
         l1, l2 = 0.4, -0.4
-        conic = dict_mul(lin_dict(complex(l1)), lin_dict(complex(l2)))
-        conic = prune({**conic, (2, 0, 0): conic.get((2, 0, 0), 0.0) + 0.25, (0, 2, 0): conic.get((0, 2, 0), 0.0) + 0.25})
-        p = HomoPoly3(3, prune(dict_mul(conic, lin_dict(0.1 + 0.0j))))
+        conic = mul(lin(complex(l1)), lin(complex(l2))) + E4
+        p = HomoPoly3(mul(conic, lin(0.1 + 0.0j)))
         with pytest.raises(NegativeMinorAxisSquared):
             fit_ellipse_factor(p, complex(l1), complex(l2))
 

@@ -203,6 +203,14 @@ class TestCampaignCommand:
         res = runner.invoke(main, ["campaign", "--trials", "0"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "bad", [("--tol-center", "nan"), ("--tol-center", "-1e-7"), ("--tol-disc", "inf"), ("--tol-disc", "0")]
+    )
+    def test_meaningless_tolerance_exits_3(self, runner, tmp_path, bad):
+        res = runner.invoke(main, ["campaign", "--trials", "3", *bad, "--runs-dir", str(tmp_path)])
+        assert res.exit_code == 3
+        assert not any(tmp_path.iterdir())
+
     def test_bad_ker_dims(self, runner, tmp_path):
         res = runner.invoke(
             main,

@@ -68,7 +68,7 @@ def test_poly_round_trip():
 
 
 def test_poly_terms_sorted_and_pruned():
-    p = HomoPoly3(2, {(0, 0, 2): 1.0, (2, 0, 0): -0.25, (1, 1, 0): 0.0})
+    p = HomoPoly3.from_terms(2, {(0, 0, 2): 1.0, (2, 0, 0): -0.25, (1, 1, 0): 0.0})
     obj = formats.poly_to_json(p)
     keys = [(t["i"], t["j"], t["k"]) for t in obj["terms"]]
     assert keys == sorted(keys)

@@ -88,6 +88,23 @@ class TestCampaign:
         with pytest.raises(ValueError):
             conjecture_campaign(CampaignConfig(n_trials=0, seed=0))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tol_center": float("nan")},
+            {"tol_center": 0.0},
+            {"tol_disc": float("nan")},
+            {"tol_disc": float("inf")},
+            {"tol_disc": -1e-8},
+            {"samples": 3},
+        ],
+    )
+    def test_meaningless_config_rejected(self, bad):
+        # a nan tolerance can never record a violation, and 3 samples fit
+        # any support function exactly, so every trial would read circular
+        with pytest.raises(ValueError):
+            conjecture_campaign(CampaignConfig(n_trials=30, seed=0, **bad))
+
     def test_deterministic_records(self):
         cfg = CampaignConfig(n_trials=15, seed=201)
         rec_a, sum_a = conjecture_campaign(cfg)
