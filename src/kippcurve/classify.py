@@ -34,6 +34,8 @@ from .kippenhahn import _E4, _check_upper_5x5, _correction_cubic, _lin, _pencil,
 from .linalg import as_matrix, hermitian_parts, schur_triangularize
 
 DEFAULT_TOL = 1e-9
+_FLAT_GRID = 256  # angles of detect_flat's coarse gap scan over [0, pi)
+_GOLDEN_ITERS = 70  # golden-section steps per bracket
 
 
 # --- circular support fit ---
@@ -160,7 +162,7 @@ def _min_gap(h: np.ndarray, k: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.min(np.diff(np.linalg.eigvalsh(_pencil(h, k, thetas)), axis=-1), axis=-1)
 
 
-def _golden_min(f, lo: np.ndarray, hi: np.ndarray, iters: int = 70) -> np.ndarray:
+def _golden_min(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Golden-section minimizers of f on the brackets [lo, hi], refined in lockstep.
 
     f maps an array of abscissae to their values, so each step costs one
@@ -171,7 +173,7 @@ def _golden_min(f, lo: np.ndarray, hi: np.ndarray, iters: int = 70) -> np.ndarra
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = np.split(f(np.concatenate([c, d])), 2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         left = fc < fd
         a = np.where(left, a, c)
         b = np.where(left, d, b)
@@ -182,7 +184,7 @@ def _golden_min(f, lo: np.ndarray, hi: np.ndarray, iters: int = 70) -> np.ndarra
     return (a + b) / 2.0
 
 
-def detect_flat(a, grid: int = 256, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
+def detect_flat(a, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
     """Directions theta in [0, pi) where two pencil eigenvalues collide.
 
     The adjacent-gap function of cos(theta) H + sin(theta) K is scanned
@@ -192,9 +194,9 @@ def detect_flat(a, grid: int = 256, tol: float = DEFAULT_TOL) -> list[tuple[floa
     candidate flat-portion parameters.  Usually empty.
     """
     h, k = hermitian_parts(a)
-    thetas = np.linspace(0.0, np.pi, grid, endpoint=False)
+    thetas = np.linspace(0.0, np.pi, _FLAT_GRID, endpoint=False)
     gaps = _min_gap(h, k, thetas)
-    step = np.pi / grid
+    step = np.pi / _FLAT_GRID
     minima = thetas[(gaps <= np.roll(gaps, 1)) & (gaps <= np.roll(gaps, -1))]
     th_stars = np.mod(_golden_min(lambda t: _min_gap(h, k, t), minima - step, minima + step), np.pi)
 
@@ -265,7 +267,7 @@ def entry_condition_rhs(t) -> dict:
     Q has the same coefficients, so both report flavours compare against
     this dictionary.
     """
-    return _pack(_correction_cubic(t))
+    return _pack(_correction_cubic(_check_upper_5x5(t)))
 
 
 _LABELS = "abcdefg"
@@ -293,7 +295,7 @@ def two_ellipse_report(t, roles, r: float, s: float) -> ConditionReport:
     lp, lq, lt, lv, lw = (_lin(tm[i, i]) for i in roles)
     r2, s2 = float(r) ** 2, float(s) ** 2
     q_target = HomoPoly3(mul(lw, r2 * mul(lt, lv) + s2 * mul(lp, lq) - r2 * s2 * _E4))
-    return _report_from(_pack(q_target), entry_condition_rhs(tm))
+    return _report_from(_pack(q_target), _pack(_correction_cubic(tm)))
 
 
 def flat_report(t, roles, r: float, theta: float, mu: float, tol: float = DEFAULT_TOL) -> ConditionReport:
@@ -333,7 +335,7 @@ def flat_report(t, roles, r: float, theta: float, mu: float, tol: float = DEFAUL
     min_margin = min(margins)
     row_i = ConditionRow("i", complex(min_margin), 0.0, 0.0 if min_margin > tol else 1.0)
 
-    return _report_from(_pack(q_target), entry_condition_rhs(tm), (row_h, row_i))
+    return _report_from(_pack(q_target), _pack(_correction_cubic(tm)), (row_h, row_i))
 
 
 # --- the classification pipeline ---
@@ -405,8 +407,7 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> list:
     m = as_matrix(a)
     if m.shape[0] != 5:
         raise NotDim5("classification targets 5x5 matrices")
-    schur = schur_triangularize(m, order="lex")
-    eigs = list(schur.eigenvalues)
+    eigs = sorted(np.linalg.eigvals(m), key=lambda z: (z.real, z.imag))
     p = kipp_poly_det(m)
 
     points: list[PointComponent] = []
@@ -456,7 +457,7 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> list:
         trio = [eigs[i] for i in remaining]
         scale = max(1.0, max_abs_coeff(cur))
         best = None
-        for th, mu in detect_flat(m, grid=256, tol=max(tol, 1e-9)):
+        for th, mu in detect_flat(m, tol=max(tol, 1e-9)):
             w = np.exp(-1j * th)
             mus = [(w * l).real + mu for l in trio]
             if abs(mus[0] * mus[1] * mus[2]) <= tol:

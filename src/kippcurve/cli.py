@@ -40,7 +40,7 @@ from .harness import (
 )
 from .kippenhahn import boundary_polyline, kipp_poly_det, kipp_poly_expanded
 from .homopoly import max_abs_coeff, max_coeff_diff
-from .svgplot import PlotSpec, render_svg
+from .svgplot import render_svg
 
 EXIT_VIOLATION = 1
 EXIT_DOMAIN = 3
@@ -53,10 +53,7 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except KippError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_DOMAIN)
-        except ValueError as exc:
+        except (KippError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_DOMAIN)
 
@@ -164,7 +161,7 @@ def boundary(matrix, samples, out, svg_path):
     else:
         Path(out).write_text(text)
     if svg_path is not None:
-        Path(svg_path).write_text(render_svg(m, PlotSpec(samples=samples)))
+        Path(svg_path).write_text(render_svg(m, samples=samples))
 
 
 def _emit_matrix(m: np.ndarray, out: str | None, params: dict) -> None:

@@ -77,16 +77,6 @@ def poly_to_json(p: HomoPoly3) -> dict:
     return {"degree": p.degree, "terms": terms}
 
 
-def poly_from_json(obj: dict) -> HomoPoly3:
-    if not isinstance(obj, dict) or "degree" not in obj or "terms" not in obj:
-        raise ValueError("polynomial object needs 'degree' and 'terms'")
-    coeffs = {}
-    for t in obj["terms"]:
-        key = (int(t["i"]), int(t["j"]), int(t["k"]))
-        coeffs[key] = float(t["c"])
-    return HomoPoly3.from_terms(int(obj["degree"]), coeffs)
-
-
 def component_to_json(comp) -> dict:
     out: dict = {"kind": comp.kind}
     if comp.kind == "point":

@@ -119,24 +119,18 @@ S5_SCAN_MARGIN = 1e-4
 _SCAN_AXES = (1.0, 0.5)  # nominal minor axes for the obstruction scan
 
 
-def default_s5_grid(n: int = 5) -> list[tuple[float, complex, complex]]:
-    """n x n parameter grid: a real, b on a fixed ray, c on its mirror."""
-    out = []
-    for a in np.linspace(0.0, 0.8, n):
-        for rho in np.linspace(0.0, 0.8, n):
-            b = rho * np.exp(1j * np.pi / 5.0)
-            out.append((float(a), complex(b), complex(np.conj(b))))
-    return out
+# 5 x 5 (a, b, c) grid of the (d) cancellation: a real, b on a fixed ray, c on its mirror
+_S5_SAMPLES = [
+    (float(a), complex(b), complex(np.conj(b)))
+    for a in np.linspace(0.0, 0.8, 5)
+    for b in np.linspace(0.0, 0.8, 5) * np.exp(1j * np.pi / 5.0)
+]
+_S5_SCAN_A = np.linspace(0.0, 0.5, 6)  # a values of the obstruction scan
 
 
-def s5_identity_check(samples=None, a_grid=None) -> S5IdentityReport:
-    if samples is None:
-        samples = default_s5_grid()
-    if a_grid is None:
-        a_grid = np.linspace(0.0, 0.5, 6)
-
+def s5_identity_check() -> S5IdentityReport:
     d_rows = []
-    for a, b, c in samples:
+    for a, b, c in _S5_SAMPLES:
         shifted = s5_family(a, b, c) - a * np.eye(5)
         rhs = entry_condition_rhs(shifted)
         d_rows.append((float(a), complex(b), complex(c), abs(rhs["d"])))
@@ -146,7 +140,7 @@ def s5_identity_check(samples=None, a_grid=None) -> S5IdentityReport:
     # against any fixed two-ellipse target is |axes contribution| ~ a
     r_ax, s_ax = _SCAN_AXES
     scan = []
-    for a in a_grid:
+    for a in _S5_SCAN_A:
         a = float(a)
         shifted = s5_family(a, a, a) - a * np.eye(5)
         rep = two_ellipse_report(shifted, (0, 1, 2, 3, 4), r_ax, s_ax)

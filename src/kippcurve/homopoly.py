@@ -59,12 +59,20 @@ class HomoPoly3:
         )
 
     def __call__(self, x, y, z):
+        """Value at (x, y, z), by Horner's rule as in `substitute_linear`."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
+        d = self.degree
+        xpow = [np.ones_like(x)]
+        for _ in range(d):
+            xpow.append(xpow[-1] * x)
         out = np.zeros(np.broadcast(x, y, z).shape)
-        for (i, j, k), c in self.coeffs.items():
-            out = out + c * x**i * y**j * z**k
+        for k in range(d, -1, -1):
+            layer = self.c[d - k, k]
+            for j in range(d - k - 1, -1, -1):
+                layer = layer * y + self.c[j, k] * xpow[d - k - j]
+            out = out * z + layer
         return out if out.shape else float(out)
 
     def coeff(self, i: int, j: int, k: int) -> float:

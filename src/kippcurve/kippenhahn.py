@@ -19,13 +19,12 @@ The closed form is prod L_i - ((x^2+y^2)/4) Q with L_i the linear
 forms of the diagonal and Q a cubic in the entries (`_correction_cubic`);
 the factorization condition reports in `classify` read their entry side
 off Q's coefficients.  Also here: the one function that builds the pencil
-stack, the support function, eigenvalue slices of the pencil in a given
-direction, and boundary sampling.
+stack, and the sweeps that sample the curve's points and the boundary
+of W(A).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
@@ -214,8 +213,8 @@ def _correction_cubic(t) -> HomoPoly3:
     over the index families enumerated above.  The patterns against
     leftover linear factors are summed as one cubic tensor over
     (x, y, z), which is folded into coefficients at the end.
+    The caller passes a matrix already checked by `_check_upper_5x5`.
     """
-    t = _check_upper_5x5(t)
     lam = np.diag(t)
     ent = upper_entries(t)
     lins = np.stack([lam.real, lam.imag, np.ones(_N)], axis=1)
@@ -266,49 +265,9 @@ def kipp_poly_expanded(a) -> HomoPoly3:
 # --- spectral geometry of the pencil ---
 
 
-def support_function(a, theta: float) -> float:
-    """Largest eigenvalue of Re(e^{-i theta} A); the support of W(A) at angle theta."""
-    return float(np.linalg.eigvalsh(_pencil(*hermitian_parts(a), theta))[-1])
-
-
-DEGENERATE_GAP = 1e-7
-
-
-@dataclass(frozen=True)
-class SpectralSlice:
-    """Eigenstructure of cos(theta) H + sin(theta) K in one direction.
-
-    curve_points holds the complex points u* A u over the eigenvectors u;
-    these are the tangency points of the supporting lines orthogonal to
-    theta.  degenerate is set when two eigenvalues nearly collide, which
-    feeds flat-portion detection downstream.
-    """
-
-    theta: float
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    curve_points: np.ndarray
-    degenerate: bool
-
-
 def _tangency(m: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     # points u* A u for the eigenvector columns u of each pencil in the stack
     return np.einsum("tik,ij,tjk->tk", vecs.conj(), m, vecs)
-
-
-def _slices(a, thetas: np.ndarray) -> list[SpectralSlice]:
-    m = as_matrix(a)
-    vals, vecs = np.linalg.eigh(_pencil(*hermitian_parts(m), thetas))
-    pts = _tangency(m, vecs)
-    gaps = np.diff(vals, axis=-1)
-    return [
-        SpectralSlice(float(th), v, u, p, bool(g.size and float(np.min(g)) < DEGENERATE_GAP))
-        for th, v, u, p, g in zip(thetas, vals, vecs, pts, gaps)
-    ]
-
-
-def spectral_slice(a, theta: float) -> SpectralSlice:
-    return _slices(a, np.array([theta], dtype=float))[0]
 
 
 def boundary_polyline(a, samples: int = 256) -> np.ndarray:
@@ -319,6 +278,13 @@ def boundary_polyline(a, samples: int = 256) -> np.ndarray:
     return _tangency(m, vecs[:, :, -1:])[:, 0]
 
 
-def curve_points(a, samples: int = 256) -> list[SpectralSlice]:
-    """Full sweep of spectral slices over [0, 2 pi)."""
-    return _slices(a, np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False))
+def curve_points(a, samples: int = 256) -> np.ndarray:
+    """Curve points at samples angles over [0, 2 pi), one row per angle.
+
+    Row t holds u* A u over the eigenvectors u of the pencil at theta_t, by
+    ascending eigenvalue: the tangency points of the lines orthogonal to theta_t.
+    """
+    m = as_matrix(a)
+    thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    _, vecs = np.linalg.eigh(_pencil(*hermitian_parts(m), thetas))
+    return _tangency(m, vecs)

@@ -1,12 +1,11 @@
 """Static SVG rendering of curve points, boundary, eigenvalues, and disc fit.
 
-Pure string emission with fixed-precision coordinates, so identical
-input produces identical bytes.
+Every layer goes on one 640 x 640 canvas, the disc only when a fit is
+given.  Pure string emission with fixed-precision coordinates, so
+identical input produces identical bytes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,31 +14,24 @@ from .kippenhahn import curve_points
 from .linalg import as_matrix
 
 _BRANCH_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
-
-
-@dataclass(frozen=True)
-class PlotSpec:
-    width: int = 640
-    height: int = 640
-    samples: int = 256
-    layers: tuple = ("curve", "boundary", "eigenvalues", "disc")
+_WIDTH = 640
+_HEIGHT = 640
 
 
 def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def render_svg(a, spec: PlotSpec = PlotSpec(), disc: DiscFit | None = None) -> str:
-    """Serialize the selected layers for matrix a into a standalone SVG document."""
+def render_svg(a, samples: int = 256, disc: DiscFit | None = None) -> str:
+    """Serialize matrix a's curve, sampled at samples angles, into a standalone SVG document."""
     m = as_matrix(a)
     n = m.shape[0]
-    slices = curve_points(m, spec.samples)
-    branch_pts = np.array([s.curve_points for s in slices])  # samples x n
+    branch_pts = curve_points(m, samples)  # samples x n
     eigs = np.linalg.eigvals(m)
 
     xs = [branch_pts.real.ravel(), eigs.real]
     ys = [branch_pts.imag.ravel(), eigs.imag]
-    if disc is not None and "disc" in spec.layers:
+    if disc is not None:
         xs.append(np.array([disc.center.real - disc.radius, disc.center.real + disc.radius]))
         ys.append(np.array([disc.center.imag - disc.radius, disc.center.imag + disc.radius]))
     all_x = np.concatenate(xs)
@@ -50,49 +42,46 @@ def render_svg(a, spec: PlotSpec = PlotSpec(), disc: DiscFit | None = None) -> s
     pad = 0.08 * span
     lo_x, hi_x = lo_x - pad, lo_x + span + pad
     lo_y, hi_y = lo_y - pad, lo_y + span + pad
-    sx = spec.width / (hi_x - lo_x)
-    sy = spec.height / (hi_y - lo_y)
+    sx = _WIDTH / (hi_x - lo_x)
+    sy = _HEIGHT / (hi_y - lo_y)
 
     def px(zx: float) -> str:
         return _fmt((zx - lo_x) * sx)
 
     def py(zy: float) -> str:
-        return _fmt(spec.height - (zy - lo_y) * sy)  # flip so Im axis points up
+        return _fmt(_HEIGHT - (zy - lo_y) * sy)  # flip so Im axis points up
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">',
-        f'<rect width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
-    if "curve" in spec.layers:
-        for b in range(n):
-            color = _BRANCH_COLORS[b % len(_BRANCH_COLORS)]
-            pts = branch_pts[:, b]
-            dots = "".join(
-                f'<circle cx="{px(p.real)}" cy="{py(p.imag)}" r="1.5" fill="{color}"/>'
-                for p in pts
-            )
-            parts.append(f'<g class="branch{b}">{dots}</g>')
-    if "boundary" in spec.layers:
-        top = branch_pts[:, -1]
-        path = "M " + " L ".join(f"{px(p.real)} {py(p.imag)}" for p in top) + " Z"
-        parts.append(f'<path d="{path}" fill="none" stroke="#000000" stroke-width="1.2"/>')
-    if disc is not None and "disc" in spec.layers:
+    for b in range(n):
+        color = _BRANCH_COLORS[b % len(_BRANCH_COLORS)]
+        pts = branch_pts[:, b]
+        dots = "".join(
+            f'<circle cx="{px(p.real)}" cy="{py(p.imag)}" r="1.5" fill="{color}"/>'
+            for p in pts
+        )
+        parts.append(f'<g class="branch{b}">{dots}</g>')
+    top = branch_pts[:, -1]
+    path = "M " + " L ".join(f"{px(p.real)} {py(p.imag)}" for p in top) + " Z"
+    parts.append(f'<path d="{path}" fill="none" stroke="#000000" stroke-width="1.2"/>')
+    if disc is not None:
         parts.append(
             f'<circle cx="{px(disc.center.real)}" cy="{py(disc.center.imag)}" '
             f'r="{_fmt(disc.radius * sx)}" fill="none" stroke="#888888" '
             'stroke-width="1" stroke-dasharray="5 4"/>'
         )
-    if "eigenvalues" in spec.layers:
-        for e in sorted(eigs, key=lambda z: (round(z.real, 12), round(z.imag, 12))):
-            cx, cy = float(e.real), float(e.imag)
-            parts.append(
-                f'<g stroke="#000000" stroke-width="1">'
-                f'<line x1="{px(cx)}" y1="{_fmt(float(py(cy)) - 4.0)}" '
-                f'x2="{px(cx)}" y2="{_fmt(float(py(cy)) + 4.0)}"/>'
-                f'<line x1="{_fmt(float(px(cx)) - 4.0)}" y1="{py(cy)}" '
-                f'x2="{_fmt(float(px(cx)) + 4.0)}" y2="{py(cy)}"/></g>'
-            )
+    for e in sorted(eigs, key=lambda z: (round(z.real, 12), round(z.imag, 12))):
+        cx, cy = float(e.real), float(e.imag)
+        parts.append(
+            f'<g stroke="#000000" stroke-width="1">'
+            f'<line x1="{px(cx)}" y1="{_fmt(float(py(cy)) - 4.0)}" '
+            f'x2="{px(cx)}" y2="{_fmt(float(py(cy)) + 4.0)}"/>'
+            f'<line x1="{_fmt(float(px(cx)) - 4.0)}" y1="{py(cy)}" '
+            f'x2="{_fmt(float(px(cx)) + 4.0)}" y2="{py(cy)}"/></g>'
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

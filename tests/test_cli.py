@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 from kippcurve import formats
 from kippcurve.cli import main
 from kippcurve.generators import jordan_shift
-from kippcurve.homopoly import max_coeff_diff
+from kippcurve.homopoly import HomoPoly3, max_coeff_diff
 from kippcurve.kippenhahn import kipp_poly_det
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -28,11 +29,15 @@ def j5_file(tmp_path):
     return str(path)
 
 
+def _poly(doc):
+    terms = {(t["i"], t["j"], t["k"]): t["c"] for t in doc["terms"]}
+    return HomoPoly3.from_terms(doc["degree"], terms)
+
+
 def test_poly_matches_library(runner, j5_file):
     res = runner.invoke(main, ["poly", j5_file])
     assert res.exit_code == 0
-    got = formats.poly_from_json(json.loads(res.output))
-    assert max_coeff_diff(got, kipp_poly_det(jordan_shift(5))) == 0.0
+    assert json.loads(res.output) == formats.poly_to_json(kipp_poly_det(jordan_shift(5)))
 
 
 def test_poly_check_oracle(runner, j5_file):
@@ -46,8 +51,7 @@ def test_poly_expanded_route(runner, j5_file):
     plain = runner.invoke(main, ["poly", j5_file])
     expanded = runner.invoke(main, ["poly", j5_file, "--expanded"])
     assert expanded.exit_code == 0
-    a = formats.poly_from_json(json.loads(plain.output))
-    b = formats.poly_from_json(json.loads(expanded.output))
+    a, b = (_poly(json.loads(res.output)) for res in (plain, expanded))
     assert max_coeff_diff(a, b) < 1e-12
 
 
@@ -103,6 +107,14 @@ def test_boundary_csv(runner, j5_file):
     assert len(lines) == 16
     first = complex(*map(float, lines[0].split(",")))
     assert abs(first - np.cos(np.pi / 6)) < 1e-12
+
+
+def test_boundary_svg(runner, j5_file, tmp_path):
+    target = tmp_path / "boundary.svg"
+    res = runner.invoke(main, ["boundary", j5_file, "--samples", "16", "--svg", str(target)])
+    assert res.exit_code == 0
+    path = re.search(r'<path d="M ([^"]*) Z"', target.read_text()).group(1)
+    assert len(path.split(" L ")) == 16
 
 
 def test_malformed_matrix_file(runner, tmp_path):

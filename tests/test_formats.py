@@ -8,8 +8,7 @@ import pytest
 from kippcurve import formats
 from kippcurve.classify import DiscFit, classify_curve, fit_disc, matched_reports
 from kippcurve.generators import jordan_shift, two_ellipse_block
-from kippcurve.homopoly import HomoPoly3, max_coeff_diff
-from kippcurve.kippenhahn import kipp_poly_det
+from kippcurve.homopoly import HomoPoly3
 
 
 def test_f17_round_trips_doubles():
@@ -58,13 +57,6 @@ def test_matrix_file_round_trip(tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     assert np.array_equal(formats.load_matrix(path), m)
-
-
-def test_poly_round_trip():
-    p = kipp_poly_det(two_ellipse_block(0.3, -0.2j, 0.1, -0.4, 0.2, 0.7, 0.5))
-    back = formats.poly_from_json(formats.poly_to_json(p))
-    assert back.degree == p.degree
-    assert max_coeff_diff(p, back) == 0.0
 
 
 def test_poly_terms_sorted_and_pruned():

@@ -86,7 +86,7 @@ def test_array_beyond_degree_rejected():
 
 def test_product_matches_evaluation():
     rng = np.random.default_rng(8)
-    for da, db in ((0, 3), (1, 1), (2, 3), (4, 5)):
+    for da, db in ((0, 3), (1, 1), (2, 3), (4, 5), (5, 7)):
         p, q = HomoPoly3(random_form(rng, da)), HomoPoly3(random_form(rng, db))
         pq = HomoPoly3(mul(p.c, q.c))
         assert pq.degree == da + db

@@ -19,8 +19,6 @@ from kippcurve.kippenhahn import (
     curve_points,
     kipp_poly_det,
     kipp_poly_expanded,
-    spectral_slice,
-    support_function,
 )
 
 
@@ -173,53 +171,30 @@ def test_rotation_covariance():
     assert max_coeff_diff(rotated, want) < 1e-9 * max(1.0, max_abs_coeff(p))
 
 
-# --- support function and spectral sweep ---
-
-
-def test_support_function_scalar():
-    a = np.array([[0.3 + 0.4j]])
-    for theta in np.linspace(0, 2 * np.pi, 9):
-        want = 0.3 * np.cos(theta) + 0.4 * np.sin(theta)
-        assert abs(support_function(a, theta) - want) < 1e-14
-
-
-def test_support_function_j5_constant():
-    # the 5x5 shift has a circular range; the radius is the top eigenvalue
-    # of the free tridiagonal matrix, cos(pi/6), independent of direction
-    j5 = jordan_shift(5)
-    vals = [support_function(j5, t) for t in np.linspace(0, 2 * np.pi, 41)]
-    assert max(vals) - min(vals) < 1e-12
-    assert abs(vals[0] - np.cos(np.pi / 6)) < 1e-12
+# --- curve points of the spectral sweep ---
 
 
 def test_support_function_matches_curve_cloud():
     rng = np.random.default_rng(9)
     a = random_upper(rng)
-    theta = 0.7
-    h = support_function(a, theta)
-
-    def proj(s):
-        return float(np.max(np.cos(theta) * s.curve_points.real + np.sin(theta) * s.curve_points.imag))
+    samples, t = 64, 7
+    theta = 2 * np.pi * t / samples
+    h, k = (a + a.conj().T) / 2, (a - a.conj().T) / 2j
+    support = np.linalg.eigvalsh(np.cos(theta) * h + np.sin(theta) * k)[-1]
+    pts = curve_points(a, samples=samples)
+    proj = np.max(np.cos(theta) * pts.real + np.sin(theta) * pts.imag, axis=1)
 
     # the slice at theta attains the support value; no slice exceeds it
-    assert abs(proj(spectral_slice(a, theta)) - h) < 1e-10
-    assert max(proj(s) for s in curve_points(a, samples=64)) <= h + 1e-9
+    assert pts.shape == (samples, 5)
+    assert abs(proj[t] - support) < 1e-10
+    assert np.max(proj) <= support + 1e-9
 
 
 def test_spectral_slice_diag():
+    # the slice at angle 0 lists u* A u by ascending eigenvalue of Re A
     a = np.diag([0.5, -0.25 + 0.1j])
-    s = spectral_slice(a, 0.0)
-    got = np.sort_complex(s.curve_points)
-    want = np.sort_complex(np.array([0.5, -0.25 + 0.1j]))
-    assert np.allclose(got, want, atol=1e-12)
-    assert s.eigenvalues[0] <= s.eigenvalues[1]
-
-
-def test_spectral_slice_degenerate_flag():
-    # at theta = pi/2 both eigenvalues of Im(diag(1,-1)) vanish
-    a = np.diag([1.0, -1.0])
-    assert spectral_slice(a, np.pi / 2).degenerate
-    assert not spectral_slice(a, 0.0).degenerate
+    got = curve_points(a, samples=8)[0]
+    assert np.allclose(got, [-0.25 + 0.1j, 0.5], atol=1e-12)
 
 
 def test_boundary_polyline_circle():
@@ -236,11 +211,10 @@ def test_curve_cloud_on_components():
     loc = 0.2 + 0.0j
     a = two_ellipse_block(foci[0][0], foci[0][1], foci[1][0], foci[1][1], loc, *axes)
     worst = 0.0
-    for s in curve_points(a, samples=48):
-        for z in s.curve_points:
-            best = abs(z - loc)
-            for (f1, f2), minor in zip(foci, axes):
-                major = np.sqrt(minor**2 + abs(f1 - f2) ** 2)
-                best = min(best, abs(abs(z - f1) + abs(z - f2) - major))
-            worst = max(worst, best)
+    for z in curve_points(a, samples=48).ravel():
+        best = abs(z - loc)
+        for (f1, f2), minor in zip(foci, axes):
+            major = np.sqrt(minor**2 + abs(f1 - f2) ** 2)
+            best = min(best, abs(abs(z - f1) + abs(z - f2) - major))
+        worst = max(worst, best)
     assert worst < 1e-8
