@@ -184,6 +184,11 @@ def _golden_min(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return (a + b) / 2.0
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def detect_flat(a, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
     """Directions theta in [0, pi) where two pencil eigenvalues collide.
 
@@ -191,8 +196,10 @@ def detect_flat(a, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
     on a grid (it has period pi), each local minimum is refined by golden
     section, and collisions within tol of zero are returned as
     (theta, mu) with mu = minus the collision value; these are the
-    candidate flat-portion parameters.  Usually empty.
+    candidate flat-portion parameters.  Usually empty.  tol must be
+    finite and positive.
     """
+    _check_tol(tol)
     h, k = hermitian_parts(a)
     thetas = np.linspace(0.0, np.pi, _FLAT_GRID, endpoint=False)
     gaps = _min_gap(h, k, thetas)
@@ -402,8 +409,10 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> list:
     against the flat-portion model at every detected collision direction.
     Whatever resists all three stages is reported unclassified with its
     degree.  Components are ordered points, ellipses, then cubic-level
-    components, each sorted deterministically.
+    components, each sorted deterministically.  tol must be finite and
+    positive.
     """
+    _check_tol(tol)
     m = as_matrix(a)
     if m.shape[0] != 5:
         raise NotDim5("classification targets 5x5 matrices")

@@ -430,15 +430,6 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
-def _record_dict(r: TrialRecord) -> dict:
-    d = dataclasses.asdict(r)
-    d["center"] = [r.center.real, r.center.imag]
-    d["params"] = {
-        k: ([v.real, v.imag] if isinstance(v, complex) else v) for k, v in r.params.items()
-    }
-    return d
-
-
 def campaign_id(config: CampaignConfig) -> str:
     blob = json.dumps(dataclasses.asdict(config), sort_keys=True, default=_json_default)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -463,7 +454,7 @@ def run_campaign(config: CampaignConfig, root=None):
     (rdir / "config.json").write_text(cfg + "\n")
     with open(rdir / "records.jsonl", "w") as fh:
         for r in records:
-            fh.write(json.dumps(_record_dict(r), sort_keys=True) + "\n")
+            fh.write(json.dumps(dataclasses.asdict(r), sort_keys=True, default=_json_default) + "\n")
     summ = json.dumps(dataclasses.asdict(summary), sort_keys=True, indent=2, default=_json_default)
     (rdir / "summary.json").write_text(summ + "\n")
     return rdir, records, summary

@@ -20,10 +20,10 @@ DEFAULT_TOL = 1e-9
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex ndarray, rejecting non-square or non-finite input."""
+    """Coerce to a square complex ndarray, rejecting empty, non-square or non-finite input."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise BadDims(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise BadDims(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise BadDims("matrix entries must be finite")
     return m

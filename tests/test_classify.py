@@ -249,6 +249,11 @@ class TestDetectFlat:
         a = np.array([[0.3, 0.9], [0.0, -0.4 + 0.2j]])
         assert detect_flat(a, tol=1e-8) == []
 
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+    def test_meaningless_tol_rejected(self, tol):
+        with pytest.raises(ValueError):
+            detect_flat(np.diag([1.0, 1.0j, -1.0]), tol=tol)
+
 
 # --- condition reports ---
 
@@ -385,6 +390,13 @@ class TestClassifyCurve:
         assert abs(flat.theta - 0.0) < 1e-6
         assert abs(flat.mu - 0.5) < 1e-6
         assert len(flat.foci) == 3
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+    def test_meaningless_tol_rejected(self, tol):
+        # nan, 0 and -1 would report one unclassified quintic, inf five points
+        a = two_ellipse_block(0.3 + 0.1j, -0.2j, 0.1 - 0.3j, 0.25, -0.35, 0.8, 0.55)
+        with pytest.raises(ValueError):
+            classify_curve(a, tol=tol)
 
     def test_irreducible_quintic_unclassified(self):
         comps = classify_curve(s5_family(0.4, 0.3 + 0.2j, 0.3 - 0.2j))

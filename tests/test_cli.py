@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from kippcurve import formats
 from kippcurve.cli import main
-from kippcurve.generators import jordan_shift
+from kippcurve.generators import jordan_shift, two_ellipse_block
 from kippcurve.homopoly import HomoPoly3, max_coeff_diff
 from kippcurve.kippenhahn import kipp_poly_det
 
@@ -89,6 +89,15 @@ def test_classify_shape_flag_requires_5x5(runner, tmp_path):
     res = runner.invoke(main, ["classify", str(path), "--shape"])
     assert res.exit_code == 3
     assert "5x5" in res.output
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_classify_meaningless_tol_exits_3(runner, tmp_path, tol):
+    path = tmp_path / "te.json"
+    formats.dump_matrix(two_ellipse_block(0.3 + 0.1j, -0.2j, 0.1 - 0.3j, 0.25, -0.35, 0.8, 0.55), path)
+    res = runner.invoke(main, ["classify", str(path), "--tol", tol])
+    assert res.exit_code == 3, res.output
+    assert "tol" in res.output
 
 
 def test_classify_svg(runner, j5_file, tmp_path):

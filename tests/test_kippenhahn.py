@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from kippcurve.classify import entry_condition_rhs, flat_report, two_ellipse_report
 from kippcurve.errors import BadDims, NotDim5, NotUpperTriangular
 from kippcurve.generators import haar_unitary, jordan_shift, two_ellipse_block
 from kippcurve.homopoly import HomoPoly3, max_abs_coeff, max_coeff_diff, mul, substitute_linear
@@ -136,6 +137,37 @@ def test_oracle_agreement_batch():
 def test_oracle_agreement_two_ellipse():
     a = two_ellipse_block(0.3, -0.2j, 0.1 + 0.1j, -0.4, 0.2, 0.7, 0.5)
     assert max_coeff_diff(kipp_poly_det(a), kipp_poly_expanded(a)) < 1e-12
+
+
+def _closed_form_values(t):
+    roles = (2, 0, 4, 1, 3)
+    reports = (two_ellipse_report(t, roles, 0.7, 0.45), flat_report(t, roles, 0.6, 0.8, 0.35))
+    return kipp_poly_expanded(t).c, entry_condition_rhs(t), [[(r.lhs, r.rhs) for r in rep.rows] for rep in reports]
+
+
+def test_closed_form_calls_no_eigensolver(monkeypatch):
+    # the oracle must stay independent of the sweep route it checks
+    t = random_upper(np.random.default_rng(2016))
+    want = _closed_form_values(t)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(scipy.linalg, "schur", refuse)
+    got = _closed_form_values(t)
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+
+
+def test_closed_form_ignores_tolerated_lower_entries():
+    # entries below the diagonal within the 1e-12 tolerance of the check
+    # are read as zero, not folded into the pencil
+    t = random_upper(np.random.default_rng(8))
+    noisy = t + 1e-13 * np.tril(np.ones((5, 5)), -1)
+    assert np.array_equal(kipp_poly_expanded(noisy).c, kipp_poly_expanded(t).c)
+    assert entry_condition_rhs(noisy) == entry_condition_rhs(t)
 
 
 # --- transformation laws ---

@@ -28,8 +28,9 @@ from kippcurve.generators import (
 
 
 def test_as_matrix_rejects_nonsquare():
-    with pytest.raises(BadDims):
-        as_matrix(np.zeros((2, 3)))
+    for shape in ((2, 3), (0, 0)):
+        with pytest.raises(BadDims):
+            as_matrix(np.zeros(shape))
 
 
 def test_as_matrix_rejects_nonfinite():
