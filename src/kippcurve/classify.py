@@ -9,7 +9,7 @@ where an ellipse with foci li, lj and minor axis r corresponds to the
 quadratic l_i l_j - (r^2/4)(x^2 + y^2), a point to a linear factor, and
 the flat cubic is a degree-3 factor whose dual curve carries a line
 segment.  `classify_curve` peels these factors off numerically, each
-by one synthetic division (`homopoly.divide`) of the polynomial's
+by synthetic division (`homopoly.divide`) of the polynomial's
 coefficient array by a linear or conic form monic in z, and all model
 polynomials here are built as products of coefficient arrays;
 `two_ellipse_report` and `flat_report` evaluate the exact coefficient
@@ -25,6 +25,7 @@ how the search harness decides circularity of the numerical range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -90,10 +91,12 @@ def divide_linear(p: HomoPoly3, lam) -> tuple[HomoPoly3, float]:
 def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
     """Best minor axis r such that l_i l_j - (r^2/4)(x^2+y^2) divides p.
 
-    For p of degree at most 5 the division remainder is exactly
-    quadratic in t = r^2, u0 + u1 t + u2 t^2, so three divisions
-    reconstruct it, the optimal t comes from the real critical points of
-    its squared norm, and each candidate t is scored on that quadratic.
+    For p of degree at most 5, t = r^2 sits only in the conic's z^0
+    layer, which the division multiplies into the quotient only from its
+    t-free top two layers: the quotient is exactly q0 + t (q1 - q0) and
+    the remainder u0 + u1 t + u2 t^2, so three divisions (t = 0, 1, 2)
+    give both.  The optimal t comes from the real critical points of
+    the remainder's squared norm, each candidate scored on that quadratic.
     A critical point within roundoff of 0, |t| <= 1e-13 s^2 with
     s = max(1, |li|, |lj|), is the t = 0 candidate, so r resolves down
     to about 3e-7 s and anything smaller comes out as exactly 0.  Among
@@ -110,7 +113,8 @@ def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
         raise ValueError("zero polynomial")
 
     lij = mul(_lin(li), _lin(lj))  # the divisor at t is lij - t (x^2+y^2)/4
-    r0, r1m, r2m = (divide(p.c, lij - t * _E4)[1].ravel() for t in (0.0, 1.0, 2.0))
+    divs = [divide(p.c, lij - t * _E4) for t in (0.0, 1.0, 2.0)]
+    r0, r1m, r2m = (rem.ravel() for _, rem in divs)
     u2 = (r2m - 2.0 * r1m + r0) / 2.0
     u1 = r1m - r0 - u2
     u0 = r0
@@ -149,9 +153,8 @@ def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
     if best < -tol:
         raise NegativeMinorAxisSquared(f"fitted axis square {best:.3e}")
     best = max(best, 0.0)
-    quot, rem = divide(p.c, lij - best * _E4)
-    resid = float(np.max(np.abs(rem))) / pmax
-    return float(np.sqrt(best)), HomoPoly3(quot), resid
+    (q0, _), (q1, _), _ = divs
+    return float(np.sqrt(best)), HomoPoly3(q0 + best * (q1 - q0)), remainder_residual(best)
 
 
 # --- flat-direction detection ---
@@ -315,7 +318,9 @@ def flat_report(t, roles, r: float, theta: float, mu: float, tol: float = DEFAUL
     r^2 F + 4 l_p l_q G with G the linear form of `_flat_linear`.
     Rows (h) and (i) are predicates: residual 0 when the disequality
     holds with margin above tol, else 1, with the margin stored as lhs.
+    tol must be finite and positive.
     """
+    _check_tol(tol)
     tm = _check_upper_5x5(t)
     lam = np.diag(tm)
     p_, q_, t_, v_, w_ = roles
@@ -416,54 +421,45 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> list:
     m = as_matrix(a)
     if m.shape[0] != 5:
         raise NotDim5("classification targets 5x5 matrices")
-    eigs = sorted(np.linalg.eigvals(m), key=lambda z: (z.real, z.imag))
-    p = kipp_poly_det(m)
+    eigs = sorted(np.linalg.eigvals(m), key=lambda z: (_lex_key(z), z.real, z.imag))
+    cur = kipp_poly_det(m)
 
+    # one pass: z + L_a that does not divide p cannot divide p / (z + L_b)
     points: list[PointComponent] = []
-    remaining = list(range(5))
-    cur = p
-
-    # peel linear factors greedily; multiplicity handled by repetition
-    changed = True
-    while changed and cur.degree >= 1:
-        changed = False
-        for pos in sorted(remaining, key=lambda i: _lex_key(eigs[i])):
-            quot, resid = divide_linear(cur, eigs[pos])
-            if resid < tol:
-                points.append(PointComponent(complex(eigs[pos])))
-                remaining.remove(pos)
-                cur = quot
-                changed = True
-                break
+    remaining = []
+    for z in eigs:
+        quot, resid = divide_linear(cur, z)
+        if resid < tol:
+            points.append(PointComponent(complex(z)))
+            cur = quot
+        else:
+            remaining.append(z)
 
     ellipses: list[EllipseComponent] = []
     while cur.degree >= 2 and len(remaining) >= 2:
         best = None
-        for ii in range(len(remaining)):
-            for jj in range(ii + 1, len(remaining)):
-                pi_, pj_ = remaining[ii], remaining[jj]
-                try:
-                    r, quot, resid = fit_ellipse_factor(cur, eigs[pi_], eigs[pj_], tol)
-                except NegativeMinorAxisSquared:
-                    continue
-                if resid < tol and (best is None or resid < best[0]):
-                    best = (resid, r, quot, pi_, pj_)
+        for i, j in combinations(range(len(remaining)), 2):
+            try:
+                r, quot, resid = fit_ellipse_factor(cur, remaining[i], remaining[j], tol)
+            except NegativeMinorAxisSquared:
+                continue
+            if resid < tol and (best is None or resid < best[0]):
+                best = (resid, r, quot, i, j)
         if best is None:
             break
-        _, r, quot, pi_, pj_ = best
-        f1, f2 = sorted((eigs[pi_], eigs[pj_]), key=_lex_key)
+        _, r, quot, i, j = best
+        f1, f2 = sorted((remaining[i], remaining[j]), key=_lex_key)
         if r <= tol:
             points.append(PointComponent(complex(f1)))
             points.append(PointComponent(complex(f2)))
         else:
             ellipses.append(EllipseComponent(complex(f1), complex(f2), float(r)))
-        remaining.remove(pi_)
-        remaining.remove(pj_)
+        del remaining[j], remaining[i]
         cur = quot
 
     tail: list = []
     if cur.degree == 3 and len(remaining) == 3:
-        trio = [eigs[i] for i in remaining]
+        trio = remaining
         scale = max(1.0, max_abs_coeff(cur))
         best = None
         for th, mu in detect_flat(m, tol=max(tol, 1e-9)):
@@ -479,7 +475,6 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> list:
             foci = tuple(sorted((complex(l) for l in trio), key=_lex_key))
             tail.append(FlatQuarticComponent(foci, float(th), float(mu)))
             cur = HomoPoly3(np.ones((1, 1)))
-            remaining = []
     if cur.degree >= 1:
         tail.append(UnclassifiedComponent(cur.degree))
 
@@ -504,8 +499,9 @@ def matched_reports(a, components, tol: float = DEFAULT_TOL) -> list:
     Two ellipses plus a point get the (a)..(g) report; one ellipse plus
     a flat cubic gets the flat report with (h), (i).  Role positions are
     matched against the lex-ordered Schur diagonal.  Anything else gets
-    no report.
+    no report.  tol must be finite and positive.
     """
+    _check_tol(tol)
     m = as_matrix(a)
     if m.shape[0] != 5:
         return []

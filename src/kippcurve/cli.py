@@ -17,6 +17,7 @@ import click
 
 from . import formats
 from .classify import (
+    _check_tol,
     classify_curve,
     disc_verdict,
     fit_disc,
@@ -126,6 +127,7 @@ def poly(matrix, expanded, check_oracle, out):
 @_guard
 def classify(matrix, tol, samples, shape, svg_path, out):
     """Disc fit plus, for 5x5 input, the component decomposition of the curve."""
+    _check_tol(tol)
     m = formats.load_matrix(matrix)
     fit = fit_disc(m, samples=samples)
     circular = disc_verdict(fit)

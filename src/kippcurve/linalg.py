@@ -114,26 +114,11 @@ class SchurForm:
     eigenvalues: np.ndarray
 
 
-def _swap_schur_adjacent(t: np.ndarray, u: np.ndarray, i: int) -> None:
-    # exchange diagonal entries i, i+1 by a unitary similarity keeping T triangular
-    a, b, c = t[i, i], t[i, i + 1], t[i + 1, i + 1]
-    x0, x1 = b, c - a  # eigenvector of [[a, b], [0, c]] for eigenvalue c
-    nx = np.hypot(abs(x0), abs(x1))
-    if nx == 0.0:
-        return  # equal eigenvalues, nothing to move
-    v0, v1 = x0 / nx, x1 / nx
-    g = np.array([[v0, -np.conj(v1)], [v1, np.conj(v0)]])
-    t[:, i : i + 2] = t[:, i : i + 2] @ g
-    t[i : i + 2, :] = g.conj().T @ t[i : i + 2, :]
-    u[:, i : i + 2] = u[:, i : i + 2] @ g
-    t[i + 1, i] = 0.0
-
-
 def schur_triangularize(a, order: str | None = "lex") -> SchurForm:
     """Complex Schur form with a caller-chosen diagonal ordering.
 
-    order="lex" sorts the diagonal by (Re, Im) ascending using adjacent
-    unitary swaps; order=None keeps whatever the QR iteration produced.
+    order="lex" sorts the diagonal by (Re, Im) ascending, each move one
+    LAPACK ztrexc call; order=None keeps whatever the QR iteration produced.
     """
     m = as_matrix(a)
     n = m.shape[0]
@@ -141,15 +126,13 @@ def schur_triangularize(a, order: str | None = "lex") -> SchurForm:
         t, u = scipy.linalg.schur(m, output="complex")
     except Exception as exc:
         raise ConvergenceFailure(f"schur iteration failed: {exc}") from exc
-    t = np.asarray(t, dtype=complex).copy()
-    u = np.asarray(u, dtype=complex).copy()
     if order == "lex":
-        # selection sort realized through adjacent swaps
         for pos in range(n):
             diag = [(t[j, j].real, t[j, j].imag) for j in range(pos, n)]
             best = pos + min(range(len(diag)), key=diag.__getitem__)
-            for j in range(best - 1, pos - 1, -1):
-                _swap_schur_adjacent(t, u, j)
+            t, u, info = scipy.linalg.lapack.ztrexc(t, u, best + 1, pos + 1)
+            if info != 0:
+                raise ConvergenceFailure(f"ztrexc failed with info {info}")
     elif order is not None:
         raise ValueError(f"unknown ordering policy {order!r}")
     return SchurForm(u, t, np.diag(t).copy())

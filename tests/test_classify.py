@@ -184,12 +184,16 @@ class TestFitEllipseFactor:
                 for j in range(i + 1, 5):
                     want = axis_square_by_redividing(p, eigs[i], eigs[j])
                     try:
-                        r, _, _ = fit_ellipse_factor(p, eigs[i], eigs[j])
+                        r, quot, resid = fit_ellipse_factor(p, eigs[i], eigs[j])
                     except NegativeMinorAxisSquared:
                         r = None
                     assert (r is None) == (want is None), (i, j, r, want)
                     if want is not None:
                         assert r == np.sqrt(want), (i, j, r, want)
+                        # the affine quotient and quadratic residual match a fresh division
+                        q_ref, rem = divide(p.c, mul(lin(eigs[i]), lin(eigs[j])) - r**2 * E4)
+                        assert np.max(np.abs(quot.c - q_ref)) <= 1e-12 * max(1.0, np.max(np.abs(q_ref)))
+                        assert abs(resid - np.max(np.abs(rem)) / np.max(np.abs(p.c))) <= 1e-14
 
     def test_degenerate_pair_gives_zero_axis(self):
         # a real focus pair has no ellipse: roundoff in the fitted axis
@@ -290,6 +294,14 @@ class TestReports:
         assert rep.row("h").residual == 0.0
         assert rep.row("i").residual == 0.0
 
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+    def test_flat_meaningless_tol_rejected(self, tol):
+        # nan and inf would fail rows (h), (i) on this planted block, 0 and -1 pass any margin
+        f3 = flat_3x3(0.2, 0.1 + 0.3j, -0.1 - 0.2j, 0.0, 0.5)
+        a = scipy.linalg.block_diag(np.array([[0.3 + 0.1j, 0.7], [0.0, -0.2j]]), f3)
+        with pytest.raises(ValueError):
+            flat_report(a, (0, 1, 2, 3, 4), 0.7, 0.0, 0.5, tol=tol)
+
     def test_report_values_pinned(self):
         # each side on its own, so a sign slip that hits lhs and rhs alike
         # still shows; the values come from an independent hand expansion
@@ -360,24 +372,26 @@ class TestClassifyCurve:
             assert abs(c.focus1) < 1e-8 and abs(c.focus2) < 1e-8
 
     def test_two_ellipse_round_trip(self):
-        lams = [0.3 + 0.1j, -0.2j, 0.1 - 0.3j, 0.25, -0.35]
-        a = two_ellipse_block(*lams, 0.8, 0.55)
-        comps = classify_curve(a)
-        kinds = sorted(c.kind for c in comps)
-        assert kinds == ["ellipse", "ellipse", "point"]
-        point = next(c for c in comps if c.kind == "point")
-        assert abs(point.location - (-0.35)) < 1e-8
-        axes = sorted(c.minor_axis for c in comps if c.kind == "ellipse")
-        assert abs(axes[0] - 0.55) < 1e-8
-        assert abs(axes[1] - 0.8) < 1e-8
+        # the second block is confocal, and its point repeats a focus
+        for lams in ([0.3 + 0.1j, -0.2j, 0.1 - 0.3j, 0.25, -0.35], [0.3, -0.2j, 0.3, -0.2j, 0.3]):
+            a = two_ellipse_block(*lams, 0.8, 0.55)
+            comps = classify_curve(a)
+            kinds = sorted(c.kind for c in comps)
+            assert kinds == ["ellipse", "ellipse", "point"]
+            point = next(c for c in comps if c.kind == "point")
+            assert abs(point.location - lams[4]) < 1e-8
+            axes = sorted(c.minor_axis for c in comps if c.kind == "ellipse")
+            assert abs(axes[0] - 0.55) < 1e-8
+            assert abs(axes[1] - 0.8) < 1e-8
 
     def test_diagonal_is_five_points(self):
-        lams = [0.3, -0.2 + 0.1j, 0.0, 0.4j, -0.5]
-        comps = classify_curve(np.diag(lams))
-        assert [c.kind for c in comps] == ["point"] * 5
-        got = sorted((c.location.real, c.location.imag) for c in comps)
-        want = sorted((l.real, l.imag) for l in map(complex, lams))
-        assert np.allclose(got, want, atol=1e-9)
+        # the second diagonal repeats 0.3 three times: one peel per copy
+        for lams in ([0.3, -0.2 + 0.1j, 0.0, 0.4j, -0.5], [0.3, 0.3, -0.2 + 0.1j, 0.3, 0.4j]):
+            comps = classify_curve(np.diag(lams))
+            assert [c.kind for c in comps] == ["point"] * 5
+            got = sorted((c.location.real, c.location.imag) for c in comps)
+            want = sorted((l.real, l.imag) for l in map(complex, lams))
+            assert np.allclose(got, want, atol=1e-9)
 
     def test_ellipse_plus_flat(self):
         f3 = flat_3x3(0.2, 0.1 + 0.3j, -0.1 - 0.2j, 0.0, 0.5)
@@ -429,6 +443,14 @@ class TestMatchedReports:
         reps = matched_reports(a, classify_curve(a))
         assert [name for name, _ in reps] == ["ellipse_flat"]
         assert reps[0][1].max_residual < 1e-8
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+    def test_meaningless_tol_rejected(self, tol):
+        f3 = flat_3x3(0.2, 0.1 + 0.3j, -0.1 - 0.2j, 0.0, 0.5)
+        a = scipy.linalg.block_diag(np.array([[0.3 + 0.1j, 0.7], [0.0, -0.2j]]), f3)
+        comps = classify_curve(a)
+        with pytest.raises(ValueError):
+            matched_reports(a, comps, tol=tol)
 
     def test_unrecognized_pattern_empty(self):
         a = np.diag([0.1, 0.2, 0.3, 0.4, 0.5])

@@ -93,11 +93,14 @@ def test_classify_shape_flag_requires_5x5(runner, tmp_path):
 
 @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
 def test_classify_meaningless_tol_exits_3(runner, tmp_path, tol):
-    path = tmp_path / "te.json"
-    formats.dump_matrix(two_ellipse_block(0.3 + 0.1j, -0.2j, 0.1 - 0.3j, 0.25, -0.35, 0.8, 0.55), path)
-    res = runner.invoke(main, ["classify", str(path), "--tol", tol])
-    assert res.exit_code == 3, res.output
-    assert "tol" in res.output
+    # J3 skips the 5x5 decomposition, so tol must be checked before it
+    te = two_ellipse_block(0.3 + 0.1j, -0.2j, 0.1 - 0.3j, 0.25, -0.35, 0.8, 0.55)
+    for name, m in (("te", te), ("j3", jordan_shift(3))):
+        path = tmp_path / f"{name}.json"
+        formats.dump_matrix(m, path)
+        res = runner.invoke(main, ["classify", str(path), "--tol", tol])
+        assert res.exit_code == 3, (name, res.output)
+        assert "tol" in res.output
 
 
 def test_classify_svg(runner, j5_file, tmp_path):
