@@ -10,7 +10,9 @@ quadratic l_i l_j - (r^2/4)(x^2 + y^2), a point to a linear factor, and
 the flat cubic is a degree-3 factor whose dual curve carries a line
 segment.  `classify_curve` peels these factors off numerically, each
 by synthetic division (`homopoly.divide`) of the polynomial's
-coefficient array by a linear or conic form monic in z, and all model
+coefficient array by a linear or conic form monic in z, after `_screen`
+has ruled out on the pencil's sweep eigenvalues the candidates whose
+division could not succeed, and all model
 polynomials here are built as products of coefficient arrays;
 `two_ellipse_report` and `flat_report` evaluate the exact coefficient
 identities that characterize each factorization for upper-triangular
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import NegativeMinorAxisSquared, NotDim5
 from .homopoly import HomoPoly3, divide, linear, max_abs_coeff, max_coeff_diff, mul
-from .kippenhahn import _E4, _check_upper_5x5, _correction_cubic, _lin, _pencil, kipp_poly_det
+from .kippenhahn import _E4, _check_upper_5x5, _correction_cubic, _fit_sweep, _lin, _pencil, _sweep
 from .linalg import as_matrix, hermitian_parts, schur_triangularize
 
 DEFAULT_TOL = 1e-9
@@ -55,8 +57,11 @@ def fit_disc(a, samples: int = 64) -> DiscFit:
     """Least-squares circle fit to the support function on an even angle grid.
 
     The residual is the max deviation of h from the fitted model; it is
-    only small when W(A) is a disc.
+    only small when W(A) is a disc.  Fewer than 16 samples fit too many
+    support functions too closely to tell, and raise ValueError.
     """
+    if samples < 16:
+        raise ValueError(f"samples must be at least 16, got {samples}")
     m = as_matrix(a)
     thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     h = np.linalg.eigvalsh(_pencil(*hermitian_parts(m), thetas))[:, -1]
@@ -406,6 +411,41 @@ def _flat_model(trio, mus, theta: float) -> HomoPoly3:
     return HomoPoly3(mul(mul(lw, lt), lv) - 4.0 * mul(_E4, _flat_linear(trio, mus, theta)))
 
 
+def _screen(eigs, thetas: np.ndarray, lams: np.ndarray, p: HomoPoly3, tol: float):
+    """Which points and foci pairs may divide p, read off the sweep (thetas, lams).
+
+    On the unit circle p(cos t, sin t, -w) = P(w) = prod_j (lams[t, j] - w).
+    With a_l(t) = cos t Re l + sin t Im l, the point z + L_l leaves the
+    remainder P(a_l) at angle t.  The conic on foci l_i, l_j has two roots
+    w summing to s = a_i + a_j whatever its minor axis; with one root on
+    lams[t, k] its remainder has the slope prod_{j != k} (lams[t, j] - w2),
+    w2 = s - lams[t, k] the other root.  Both multiply the distances to
+    every root instead of taking the nearest, so they stay near the
+    division remainder even when roots cluster, where the nearest root of
+    a cluster of c can be tol^(1/c) away.  A division within tol leaves n + 1 remainder
+    coefficients below tol |p|, |p| the largest coefficient; the factor
+    2^n max(1, rho)^(n-1), rho the largest eigenvalue modulus, covers the
+    quotients already peeled off and a conic root off the sweep's
+    eigenvalue.  Returns point_ok[i] for eigs[i] and pair_ok[i, j] for the
+    foci eigs[i], eigs[j], i < j: False where the largest value over the
+    angles (for pairs, of the smallest slope over k) exceeds
+    (n+1) 2^n max(1, rho)^(n-1) tol |p|.
+    """
+    ls = np.asarray(eigs)
+    n = lams.shape[1]
+    rho = max(1.0, float(np.max(np.abs(lams))))
+    bound = (n + 1) * 2.0**n * rho ** (n - 1) * tol * max_abs_coeff(p)
+    a = np.cos(thetas)[:, None] * ls.real + np.sin(thetas)[:, None] * ls.imag
+    point = np.abs(np.prod(lams[:, None, :] - a[:, :, None], axis=2)).max(axis=0)
+    ia, ib = np.triu_indices(n, 1)
+    partner = (a[:, ia] + a[:, ib])[:, :, None] - lams[:, None, :]  # [t, pair, k]
+    gaps = lams[:, None, None, :] - partner[..., None]  # [t, pair, k, j]
+    gaps[:, :, range(n), range(n)] = 1.0  # the root lams[t, k] itself
+    pair_ok = np.zeros((n, n), dtype=bool)
+    pair_ok[ia, ib] = np.abs(np.prod(gaps, axis=3)).min(axis=2).max(axis=0) <= bound
+    return point <= bound, pair_ok
+
+
 def classify_curve(a, tol: float = DEFAULT_TOL) -> list:
     """Decompose the degree-5 Kippenhahn curve into recognized components.
 
@@ -416,31 +456,39 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> list:
     degree.  Components are ordered points, ellipses, then cubic-level
     components, each sorted deterministically.  tol must be finite and
     positive.
+
+    Division decides every factor; `_screen` skips the points and foci
+    pairs that the pencil's eigenvalues rule out, so they are never divided.
     """
     _check_tol(tol)
     m = as_matrix(a)
     if m.shape[0] != 5:
         raise NotDim5("classification targets 5x5 matrices")
     eigs = sorted(np.linalg.eigvals(m), key=lambda z: (_lex_key(z), z.real, z.imag))
-    cur = kipp_poly_det(m)
+    thetas, lams = _sweep(m)
+    cur = _fit_sweep(thetas, lams)
+    point_ok, pair_ok = _screen(eigs, thetas, lams, cur, tol)
 
     # one pass: z + L_a that does not divide p cannot divide p / (z + L_b)
     points: list[PointComponent] = []
-    remaining = []
-    for z in eigs:
-        quot, resid = divide_linear(cur, z)
-        if resid < tol:
-            points.append(PointComponent(complex(z)))
-            cur = quot
-        else:
-            remaining.append(z)
+    remaining = []  # positions in eigs
+    for i, z in enumerate(eigs):
+        if point_ok[i]:
+            quot, resid = divide_linear(cur, z)
+            if resid < tol:
+                points.append(PointComponent(complex(z)))
+                cur = quot
+                continue
+        remaining.append(i)
 
     ellipses: list[EllipseComponent] = []
     while cur.degree >= 2 and len(remaining) >= 2:
         best = None
-        for i, j in combinations(range(len(remaining)), 2):
+        for i, j in combinations(remaining, 2):
+            if not pair_ok[i, j]:
+                continue
             try:
-                r, quot, resid = fit_ellipse_factor(cur, remaining[i], remaining[j], tol)
+                r, quot, resid = fit_ellipse_factor(cur, eigs[i], eigs[j], tol)
             except NegativeMinorAxisSquared:
                 continue
             if resid < tol and (best is None or resid < best[0]):
@@ -448,18 +496,19 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> list:
         if best is None:
             break
         _, r, quot, i, j = best
-        f1, f2 = sorted((remaining[i], remaining[j]), key=_lex_key)
+        f1, f2 = sorted((eigs[i], eigs[j]), key=_lex_key)
         if r <= tol:
             points.append(PointComponent(complex(f1)))
             points.append(PointComponent(complex(f2)))
         else:
             ellipses.append(EllipseComponent(complex(f1), complex(f2), float(r)))
-        del remaining[j], remaining[i]
+        remaining.remove(i)
+        remaining.remove(j)
         cur = quot
 
     tail: list = []
     if cur.degree == 3 and len(remaining) == 3:
-        trio = remaining
+        trio = [eigs[i] for i in remaining]
         scale = max(1.0, max_abs_coeff(cur))
         best = None
         for th, mu in detect_flat(m, tol=max(tol, 1e-9)):

@@ -356,8 +356,8 @@ def conjecture_campaign(config: CampaignConfig) -> tuple[list, CampaignSummary]:
     modulus at least tol_center; the campaign passes when there are
     none, structured circular fixtures are all detected circular, and
     no flat candidate shows up on the contraction-family fixtures.
-    Tolerances that are not finite and positive, or fewer than 16
-    support samples, would decide nothing and are rejected.
+    Tolerances that are not finite and positive would decide nothing
+    and are rejected, as `fit_disc` rejects fewer than 16 support samples.
     """
     if config.n_trials <= 0:
         raise ValueError("n_trials must be positive")
@@ -365,8 +365,6 @@ def conjecture_campaign(config: CampaignConfig) -> tuple[list, CampaignSummary]:
         tol = getattr(config, name)
         if not 0.0 < tol < np.inf:
             raise ValueError(f"{name} must be finite and positive, got {tol}")
-    if config.samples < 16:
-        raise ValueError(f"samples must be at least 16, got {config.samples}")
     children = np.random.SeedSequence(config.seed).spawn(config.n_trials)
     records: list[TrialRecord] = []
     for idx in range(config.n_trials):

@@ -7,9 +7,12 @@ For A = H + iK with Hermitian H, K the associated polynomial is
 homogeneous of degree n with real coefficients and monic in z.  The dual
 curve of p_A = 0 generates the numerical range: W(A) is the convex hull
 of the curve's real affine points.  Two independent routes to p_A live
-here.  `kipp_poly_det` diagonalizes the pencil cos(t) H + sin(t) K at a
-few angles, expands prod_j (z + lam_j(t)) and fits each z-layer by least
-squares; it works for any square A up to degree 12.  `kipp_poly_expanded`
+here.  `kipp_poly_det` diagonalizes the pencil cos(t) H + sin(t) K at
+2n + 2 angles (`_sweep`), expands prod_j (z + lam_j(t)) and fits each
+z-layer by least squares through a projection cached per size
+(`_fit_sweep`); it works for any square A up to degree 12, and
+`classify` reuses the sweep's eigenvalues to screen factor candidates.
+`kipp_poly_expanded`
 is the Leibniz sum of the determinant over the 120 permutations, special
 to 5x5 upper-triangular input and free of eigensolves, so each route
 serves as an oracle for the other.
@@ -24,6 +27,7 @@ of W(A).
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -47,46 +51,88 @@ def _pencil(h: np.ndarray, k: np.ndarray, thetas) -> np.ndarray:
     return np.cos(th) * h + np.sin(th) * k
 
 
-def kipp_poly_det(a) -> HomoPoly3:
-    """det(x H + y K + z I) recovered from one eigenvalue sweep of the pencil.
+def _sweep(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(thetas, lams): the pencil's eigenvalues at 2n + 2 equispaced angles.
 
-    On the unit circle p(cos t, sin t, z) = prod_j (z + lam_j(t)) over the
-    eigenvalues of cos(t) H + sin(t) K, so the z^(n-m) coefficient layer is
-    the m-th elementary symmetric function of the lam_j(t), a form of
-    degree m in (cos t, sin t).  Each layer is sampled at 2n + 2 equispaced
-    angles and fitted by least squares in the monomials cos^(m-j) sin^j;
-    the z^n layer is 1, so the result is monic by construction.  Each
-    fitted layer is column n - m of the coefficient array.  Raises
-    IllConditionedInterpolation when a layer's fit residual exceeds 1e-8
-    relative to rho^m, rho the largest eigenvalue modulus of the sweep.
+    lams[t] holds the ascending eigenvalues of cos(thetas[t]) H + sin(thetas[t]) K.
+    Raises BadDims above MAX_DEGREE.
     """
-    m = as_matrix(a)
     n = m.shape[0]
     if n > MAX_DEGREE:
         raise BadDims(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
     thetas = np.linspace(0.0, 2.0 * np.pi, 2 * n + 2, endpoint=False)
-    lams = np.linalg.eigvalsh(_pencil(*hermitian_parts(m), thetas))
+    return thetas, np.linalg.eigvalsh(_pencil(*hermitian_parts(m), thetas))
 
+
+@cache
+def _layer_projections(n_angles: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (design, pinv(design)) of the z-layers of degree 1..n, stacked.
+
+    design[m - 1] has the columns cos^(m-j) sin^j, j = 0..m, at n_angles
+    equispaced angles, padded with zero columns to n + 1, and pinv[m - 1]
+    is its pseudo-inverse padded with zero rows.  They depend on nothing but
+    the sizes, so every sweep of the same size shares one least-squares
+    projection.
+    """
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    powers = np.arange(n + 1)
+    cos_pow = np.cos(thetas)[:, None] ** powers
+    sin_pow = np.sin(thetas)[:, None] ** powers
+    design = np.zeros((n, n_angles, n + 1))
+    pinv = np.zeros((n, n + 1, n_angles))
+    for deg in range(1, n + 1):
+        design[deg - 1, :, : deg + 1] = cos_pow[:, deg::-1] * sin_pow[:, : deg + 1]
+        pinv[deg - 1, : deg + 1] = np.linalg.pinv(design[deg - 1, :, : deg + 1])
+    design.flags.writeable = False
+    pinv.flags.writeable = False
+    return design, pinv
+
+
+def _fit_sweep(thetas: np.ndarray, lams: np.ndarray) -> HomoPoly3:
+    """The polynomial whose z-layers fit the elementary symmetric functions of lams.
+
+    thetas must be the equispaced grid of `_sweep`, which fixes the cached
+    projections.  Raises IllConditionedInterpolation when a layer's fit
+    residual exceeds 1e-8 relative to rho^m, rho the largest eigenvalue
+    modulus of the sweep.
+    """
+    n = lams.shape[1]
     # elementary symmetric functions e_0..e_n at every angle: expand prod (z + lam_j)
     esym = np.zeros((thetas.size, n + 1))
     esym[:, 0] = 1.0
     for lam in lams.T:
         esym[:, 1:] = esym[:, 1:] + lam[:, None] * esym[:, :-1]
 
+    design, pinv = _layer_projections(thetas.size, n)
+    layers = esym[:, 1:].T[:, :, None]  # layers[m - 1] = e_m over the angles
+    coef = pinv @ layers
+    resid = np.max(np.abs(design @ coef - layers), axis=(1, 2))
     rho = float(np.max(np.abs(lams), initial=0.0))
-    powers = np.arange(n + 1)
-    cos_pow = np.cos(thetas)[:, None] ** powers
-    sin_pow = np.sin(thetas)[:, None] ** powers
+    over = ~(resid <= 1e-8 * rho ** np.arange(1, n + 1))  # nan counts as over
+    if np.any(over):
+        deg = int(np.argmax(over)) + 1
+        raise IllConditionedInterpolation(f"z^{n - deg} layer fit residual {resid[deg - 1]:.3e}")
     c = np.zeros((n + 1, n + 1))
     c[0, n] = 1.0
-    for deg in range(1, n + 1):
-        design = cos_pow[:, deg::-1] * sin_pow[:, : deg + 1]  # columns cos^(deg-j) sin^j
-        coef, *_ = np.linalg.lstsq(design, esym[:, deg], rcond=None)
-        resid = float(np.max(np.abs(design @ coef - esym[:, deg])))
-        if resid > 1e-8 * rho**deg:
-            raise IllConditionedInterpolation(f"z^{n - deg} layer fit residual {resid:.3e}")
-        c[: deg + 1, n - deg] = coef
+    c[:, :n] = coef[::-1, :, 0].T  # the degree-m layer is column n - m
     return HomoPoly3(c)
+
+
+def kipp_poly_det(a) -> HomoPoly3:
+    """det(x H + y K + z I) recovered from one eigenvalue sweep of the pencil.
+
+    On the unit circle p(cos t, sin t, z) = prod_j (z + lam_j(t)) over the
+    eigenvalues of cos(t) H + sin(t) K, so the z^(n-m) coefficient layer is
+    the m-th elementary symmetric function of the lam_j(t), a form of
+    degree m in (cos t, sin t).  `_sweep` samples the eigenvalues at
+    2n + 2 equispaced angles and `_fit_sweep` fits each layer by least
+    squares in the monomials cos^(m-j) sin^j, through a projection cached
+    per degree; the z^n layer is 1, so the result is monic by construction.
+    Each fitted layer is column n - m of the coefficient array.  Raises
+    IllConditionedInterpolation when a layer's fit residual exceeds 1e-8
+    relative to rho^m, rho the largest eigenvalue modulus of the sweep.
+    """
+    return _fit_sweep(*_sweep(as_matrix(a)))
 
 
 # --- closed-form route for 5x5 upper-triangular matrices ---

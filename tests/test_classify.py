@@ -6,7 +6,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kippcurve.classify as classify_mod
 from kippcurve.classify import (
+    DEFAULT_TOL,
     classify_curve,
     detect_flat,
     disc_verdict,
@@ -116,6 +118,13 @@ class TestFitDisc:
     def test_verdict_radius_floor(self):
         # a single point fits a zero-radius circle perfectly; not a disc
         assert not disc_verdict(fit_disc(np.zeros((3, 3))))
+
+    @pytest.mark.parametrize("samples", [0, 3, 15])
+    def test_too_few_samples_rejected(self, samples):
+        # 3 samples fit any support function exactly: a random partial
+        # isometry would read as a disc with residual 1e-16
+        with pytest.raises(ValueError):
+            fit_disc(random_partial_isometry(5, 2, 3), samples)
 
 
 # --- linear and quadratic factor peeling ---
@@ -426,6 +435,138 @@ class TestClassifyCurve:
         assert len(axes) == 2
         assert abs(axes[0] - 0.55) < 1e-7
         assert abs(axes[1] - 0.8) < 1e-7
+
+
+# --- the sweep screen in front of the divisions ---
+
+
+def _disc_draw(rng, radius):
+    return complex(radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
+
+
+def screen_stress_matrices():
+    """Seeded matrices on and near every factorization classify_curve peels.
+
+    240 planted two-ellipse and ellipse-plus-flat blocks, conjugated J5,
+    s5_family members, diagonal matrices (every other one with a repeated
+    eigenvalue) and eigenvalue clusters of size 3 and 5, under Haar
+    unitaries; then each again perturbed by eps G with ||G|| = 1 and eps
+    cycling through 1e-6 .. 1e-3 (clusters: 1e-4 .. 1e-2, where a root of
+    p moves by eps but the division remainder only by eps^3 or eps^5).
+    """
+    rng = np.random.default_rng(4459)
+    top = np.array([[0.3 + 0.1j, 0.7], [0.0, -0.2j]])
+    base, clusters = [], []
+    for k in range(240):
+        if k % 3 < 2:
+            while True:
+                lams = [_disc_draw(rng, 0.5) for _ in range(5)]
+                if min(abs(x - y) for i, x in enumerate(lams) for y in lams[i + 1 :]) > 0.15:
+                    break
+            block = two_ellipse_block(*lams, *rng.uniform(0.3, 0.9, size=2))
+        else:
+            lams = [_disc_draw(rng, 0.45) for _ in range(3)]
+            theta = float(rng.uniform(0.1, np.pi - 0.1))
+            mu = max(0.0, -min((np.exp(-1j * theta) * l).real for l in lams)) + float(rng.uniform(0.1, 0.6))
+            block = scipy.linalg.block_diag(top, flat_3x3(*lams, theta, mu))
+        u = haar_unitary(5, rng)
+        base.append(u.conj().T @ block @ u)
+    for k in range(20):
+        u = haar_unitary(5, rng)
+        base.append(u.conj().T @ jordan_shift(5) @ u)
+        base.append(s5_family(rng.uniform(0.0, 0.9), _disc_draw(rng, 0.9), _disc_draw(rng, 0.9)))
+        lams = [_disc_draw(rng, 1.0) for _ in range(5)]
+        if k % 2:
+            lams[3] = lams[0]
+        base.append(u.conj().T @ np.diag(lams) @ u)
+        clusters.append(u.conj().T @ np.diag([0.3, 0.3, 0.3, -0.2 + 0.1j, 0.4j]) @ u)
+        clusters.append(0.3 * np.eye(5))
+    out = base + clusters
+    for mats, levels in ((base, (1e-6, 1e-5, 1e-4, 1e-3)), (clusters, (1e-4, 1e-3, 3e-3, 1e-2))):
+        for k, a in enumerate(mats):
+            g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+            out.append(a + levels[k % len(levels)] * g / np.linalg.norm(g, 2))
+    return out
+
+
+def _position(eigs, value, taken=-1):
+    return next(i for i, z in enumerate(eigs) if z == value and i != taken)
+
+
+def screened_and_accepted(monkeypatch, a, tol):
+    """(classify_curve's components, the components with the screen off, and
+    the screen's verdict on every candidate that a division accepted)."""
+    screened = classify_curve(a, tol)
+    real_screen = classify_mod._screen
+    real_linear, real_conic = classify_mod.divide_linear, classify_mod.fit_ellipse_factor
+    seen = {}
+    passed = []
+
+    def screen_off(eigs, thetas, lams, p, tol):
+        seen["eigs"] = eigs
+        seen["flags"] = real_screen(eigs, thetas, lams, p, tol)
+        return np.ones(len(eigs), dtype=bool), np.ones((len(eigs),) * 2, dtype=bool)
+
+    def linear_spy(p, lam):
+        quot, resid = real_linear(p, lam)
+        if resid < tol:
+            passed.append(seen["flags"][0][_position(seen["eigs"], lam)])
+        return quot, resid
+
+    def conic_spy(p, li, lj, tol):
+        r, quot, resid = real_conic(p, li, lj, tol)
+        if resid < tol:
+            i = _position(seen["eigs"], li)
+            j = _position(seen["eigs"], lj, taken=i)
+            passed.append(seen["flags"][1][min(i, j), max(i, j)])
+        return r, quot, resid
+
+    with monkeypatch.context() as mp:
+        mp.setattr(classify_mod, "_screen", screen_off)
+        mp.setattr(classify_mod, "divide_linear", linear_spy)
+        mp.setattr(classify_mod, "fit_ellipse_factor", conic_spy)
+        unscreened = classify_curve(a, tol)
+    return screened, unscreened, passed
+
+
+class TestScreen:
+    def test_sound_on_stress_families(self, monkeypatch):
+        # every point or pair a division accepts must pass the screen, and
+        # the screen changes no component
+        accepted = 0
+        for a in screen_stress_matrices():
+            for tol in (1e-9, 1e-7):
+                screened, unscreened, passed = screened_and_accepted(monkeypatch, a, tol)
+                assert all(passed)
+                assert repr(screened) == repr(unscreened)
+                accepted += len(passed)
+        assert accepted > 3000
+
+    @pytest.mark.parametrize("ker_dim", [1, 2, 3, 4])
+    def test_nothing_factors_without_conic_fits(self, monkeypatch, ker_dim):
+        # kernel dimension 1..3 has no conic factor and gets no fit at all;
+        # rank one has exactly one, the compression to its range
+        calls = []
+        real_conic = classify_mod.fit_ellipse_factor
+
+        def conic_spy(p, li, lj, tol):
+            out = real_conic(p, li, lj, tol)
+            calls.append(out[2] < tol)
+            return out
+
+        monkeypatch.setattr(classify_mod, "fit_ellipse_factor", conic_spy)
+        for seed in range(10):
+            calls.clear()
+            kinds = [c.kind for c in classify_curve(random_partial_isometry(5, ker_dim, seed))]
+            assert calls == ([True] if ker_dim == 4 else [])
+            assert kinds.count("ellipse") == (1 if ker_dim == 4 else 0)
+
+    def test_two_ellipse_fixture_unchanged(self, monkeypatch):
+        a = two_ellipse_block(0.3 + 0.1j, -0.2j, 0.1 - 0.3j, 0.25, -0.35, 0.8, 0.55)
+        screened, unscreened, passed = screened_and_accepted(monkeypatch, a, DEFAULT_TOL)
+        assert [c.kind for c in screened] == ["point", "ellipse", "ellipse"]
+        assert repr(screened) == repr(unscreened)
+        assert len(passed) >= 3 and all(passed)
 
 
 class TestMatchedReports:

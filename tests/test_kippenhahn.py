@@ -12,10 +12,13 @@ import pytest
 import scipy.linalg
 
 from kippcurve.classify import entry_condition_rhs, flat_report, two_ellipse_report
-from kippcurve.errors import BadDims, NotDim5, NotUpperTriangular
+from kippcurve.errors import BadDims, IllConditionedInterpolation, NotDim5, NotUpperTriangular
 from kippcurve.generators import haar_unitary, jordan_shift, two_ellipse_block
 from kippcurve.homopoly import HomoPoly3, max_abs_coeff, max_coeff_diff, mul, substitute_linear
 from kippcurve.kippenhahn import (
+    _fit_sweep,
+    _layer_projections,
+    _sweep,
     boundary_polyline,
     curve_points,
     kipp_poly_det,
@@ -95,6 +98,45 @@ def test_det_route_whole_degree_range(n):
     cs, sn = np.cos(phi), np.sin(phi)
     rotated = kipp_poly_det(np.exp(1j * phi) * a)
     assert max_coeff_diff(rotated, substitute_linear(p, (cs, sn, 0.0), (-sn, cs, 0.0), (0.0, 0.0, 1.0))) < bound
+
+
+def lstsq_fit(a):
+    """p_A with every z-layer fitted by its own lstsq, as before the cached projections."""
+    n = a.shape[0]
+    thetas = np.linspace(0.0, 2.0 * np.pi, 2 * n + 2, endpoint=False)
+    h, k = (a + a.conj().T) / 2.0, (a - a.conj().T) / 2.0j
+    lams = np.linalg.eigvalsh(np.cos(thetas)[:, None, None] * h + np.sin(thetas)[:, None, None] * k)
+    esym = np.array([np.poly(-row).real for row in lams])  # prod (z + lam_j): e_0 .. e_n
+    c = np.zeros((n + 1, n + 1))
+    c[0, n] = 1.0
+    for deg in range(1, n + 1):
+        design = np.stack([np.cos(thetas) ** (deg - j) * np.sin(thetas) ** j for j in range(deg + 1)], 1)
+        c[: deg + 1, n - deg] = np.linalg.lstsq(design, esym[:, deg], rcond=None)[0]
+    return c
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cached_projection_matches_lstsq(n):
+    rng = np.random.default_rng(200 + n)
+    a = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / 2.0
+    want = lstsq_fit(a)
+    assert np.max(np.abs(kipp_poly_det(a).c - want)) < 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def test_cached_projections_read_only():
+    kipp_poly_det(jordan_shift(5))
+    for arr in _layer_projections(12, 5):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1.0
+
+
+def test_fit_rejects_eigenvalues_of_no_pencil():
+    # sorted random numbers are no pencil's eigenvalues: their symmetric
+    # functions are no trigonometric forms of the right degree
+    thetas, _ = _sweep(jordan_shift(5))
+    lams = np.sort(np.random.default_rng(13).normal(size=(thetas.size, 5)), axis=1)
+    with pytest.raises(IllConditionedInterpolation):
+        _fit_sweep(thetas, lams)
 
 
 def test_direct_sum_oracle_degree_10():
