@@ -8,7 +8,10 @@ interest factor it as
 where an ellipse with foci li, lj and minor axis r corresponds to the
 quadratic l_i l_j - (r^2/4)(x^2 + y^2), a point to a linear factor, and
 the flat cubic is a degree-3 factor whose dual curve carries a line
-segment.  `classify_curve` peels these factors off numerically, each
+segment, matched at the directions where `detect_flat` finds two
+adjacent pencil eigenvalues colliding (each gap scanned and refined on
+its own, brackets that Weyl's bound rules out dropped).
+`classify_curve` peels these factors off numerically, each
 by synthetic division (`homopoly.divide`) of the polynomial's
 coefficient array by a linear or conic form monic in z, after `_screen`
 has ruled out on the pencil's sweep eigenvalues the candidates whose
@@ -165,31 +168,47 @@ def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
 # --- flat-direction detection ---
 
 
-def _min_gap(h: np.ndarray, k: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    # smallest adjacent eigenvalue gap of the pencil at each angle
-    return np.min(np.diff(np.linalg.eigvalsh(_pencil(h, k, thetas)), axis=-1), axis=-1)
+def _gap(h: np.ndarray, k: np.ndarray, thetas: np.ndarray, j: np.ndarray) -> np.ndarray:
+    # gap lam_{j+1} - lam_j of the pencil at each angle, with its own j
+    lams = np.linalg.eigvalsh(_pencil(h, k, thetas))
+    rows = np.arange(len(j))
+    return lams[rows, j + 1] - lams[rows, j]
 
 
-def _golden_min(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Golden-section minimizers of f on the brackets [lo, hi], refined in lockstep.
+def _weyl_rate(h: np.ndarray, k: np.ndarray) -> float:
+    # bound on |d gap_j / d theta|: each eigenvalue moves at most ||H|| + ||K|| per radian
+    return 2.0 * (np.linalg.norm(h, 2) + np.linalg.norm(k, 2))
 
-    f maps an array of abscissae to their values, so each step costs one
-    call for all brackets.
+
+def _golden_min(f, lo: np.ndarray, hi: np.ndarray, j: np.ndarray, rate: float, slack: float):
+    """Golden-section minimizers of f(., j) on the brackets [lo, hi], refined in lockstep.
+
+    f maps abscissae and their gap indices to gap values, so each step
+    costs one call for all brackets left.  After every call a bracket
+    whose smaller probe value exceeds rate (b - a) + slack is dropped:
+    f moves at most rate per radian, so it stays above slack on all of
+    [a, b].  Returns (minimizers, kept), kept the positions in lo of the
+    brackets that ran every step; the loop ends early once none is left.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b, kept = lo, hi, np.arange(len(lo))
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = np.split(f(np.concatenate([c, d])), 2)
+    fc, fd = np.split(f(np.concatenate([c, d]), np.concatenate([j, j])), 2)
     for _ in range(_GOLDEN_ITERS):
+        live = np.minimum(fc, fd) <= rate * (b - a) + slack
+        if not live.all():
+            a, b, c, d, fc, fd, j, kept = (v[live] for v in (a, b, c, d, fc, fd, j, kept))
+        if not len(kept):
+            break
         left = fc < fd
         a = np.where(left, a, c)
         b = np.where(left, d, b)
         probe = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        fp = f(probe)
+        fp = f(probe, j)
         c, d = np.where(left, probe, d), np.where(left, c, probe)
         fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-    return (a + b) / 2.0
+    return (a + b) / 2.0, kept
 
 
 def _check_tol(tol: float) -> None:
@@ -200,28 +219,48 @@ def _check_tol(tol: float) -> None:
 def detect_flat(a, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
     """Directions theta in [0, pi) where two pencil eigenvalues collide.
 
-    The adjacent-gap function of cos(theta) H + sin(theta) K is scanned
-    on a grid (it has period pi), each local minimum is refined by golden
-    section, and collisions within tol of zero are returned as
-    (theta, mu) with mu = minus the collision value; these are the
-    candidate flat-portion parameters.  Usually empty.  tol must be
-    finite and positive.
+    Each adjacent gap lam_{j+1} - lam_j of cos(theta) H + sin(theta) K is
+    scanned on one grid of _FLAT_GRID angles over [0, pi), and every grid
+    local minimum of every gap gets its own bracket of one grid step on
+    each side, refined by golden section on that gap alone.  (The pencil
+    at theta + pi is minus the one at theta, so gap j continues past pi as
+    gap n - 2 - j.)  A collision of gap j within tol scale of zero, scale =
+    max(1, largest |lam|), is returned as (theta, mu) with mu = minus the
+    mean of lam_j and lam_{j+1}; these are the candidate flat-portion
+    parameters.  Usually empty.  tol must be finite and positive.
+
+    Most brackets are dropped unrefined.  By Weyl's inequality every
+    eigenvalue moves at most ||H|| + ||K|| per radian, so gap j moves at
+    most L = 2 (||H|| + ||K||).  With slack = tol max(1, ||H|| + ||K||),
+    which is at least tol scale, a bracket is dropped when its grid gap
+    exceeds L pi / _FLAT_GRID + slack, or at any golden step when both
+    probes exceed L (b - a) + slack: the gap then exceeds slack on the
+    whole bracket, so the bracket could not end in an accepted collision.
+    The brackets left run every step, so the drops change no result.
     """
     _check_tol(tol)
     h, k = hermitian_parts(a)
+    n = h.shape[0]
     thetas = np.linspace(0.0, np.pi, _FLAT_GRID, endpoint=False)
-    gaps = _min_gap(h, k, thetas)
+    gaps = np.diff(np.linalg.eigvalsh(_pencil(h, k, thetas)), axis=-1)
+    before = np.concatenate([gaps[-1:, ::-1], gaps[:-1]])
+    after = np.concatenate([gaps[1:], gaps[:1, ::-1]])
     step = np.pi / _FLAT_GRID
-    minima = thetas[(gaps <= np.roll(gaps, 1)) & (gaps <= np.roll(gaps, -1))]
-    th_stars = np.mod(_golden_min(lambda t: _min_gap(h, k, t), minima - step, minima + step), np.pi)
+    rate = _weyl_rate(h, k)
+    slack = tol * max(1.0, rate / 2.0)
+    rows, js = np.nonzero((gaps <= before) & (gaps <= after) & (gaps <= rate * step + slack))
+    th_raw, kept = _golden_min(
+        lambda t, j: _gap(h, k, t, j), thetas[rows] - step, thetas[rows] + step, js, rate, slack
+    )
+    th_stars = np.mod(th_raw, np.pi)
+    # past either end of [0, pi) gap j is gap n - 2 - j
+    js = np.where(th_stars == th_raw, js[kept], n - 2 - js[kept])
 
     out: list[tuple[float, float]] = []
-    for th_star, vals in zip(th_stars, np.linalg.eigvalsh(_pencil(h, k, th_stars))):
+    for th_star, j, vals in zip(th_stars, js, np.linalg.eigvalsh(_pencil(h, k, th_stars))):
         th_star = float(th_star)
-        diffs = np.diff(vals)
-        j = int(np.argmin(diffs))
         scale = max(1.0, float(np.max(np.abs(vals))))
-        if diffs[j] > tol * scale:
+        if vals[j + 1] - vals[j] > tol * scale:
             continue
         mu = -float(vals[j] + vals[j + 1]) / 2.0
         dup = any(

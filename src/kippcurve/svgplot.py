@@ -57,16 +57,16 @@ def render_svg(a, samples: int = 256, disc: DiscFit | None = None) -> str:
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
+    # one row of pixel coordinates per branch, the same arithmetic as px and py
+    cols = ((branch_pts.real - lo_x) * sx).T.tolist()
+    rows = (_HEIGHT - (branch_pts.imag - lo_y) * sy).T.tolist()
     for b in range(n):
         color = _BRANCH_COLORS[b % len(_BRANCH_COLORS)]
-        pts = branch_pts[:, b]
         dots = "".join(
-            f'<circle cx="{px(p.real)}" cy="{py(p.imag)}" r="1.5" fill="{color}"/>'
-            for p in pts
+            f'<circle cx="{x:.3f}" cy="{y:.3f}" r="1.5" fill="{color}"/>' for x, y in zip(cols[b], rows[b])
         )
         parts.append(f'<g class="branch{b}">{dots}</g>')
-    top = branch_pts[:, -1]
-    path = "M " + " L ".join(f"{px(p.real)} {py(p.imag)}" for p in top) + " Z"
+    path = "M " + " L ".join(f"{x:.3f} {y:.3f}" for x, y in zip(cols[-1], rows[-1])) + " Z"
     parts.append(f'<path d="{path}" fill="none" stroke="#000000" stroke-width="1.2"/>')
     if disc is not None:
         parts.append(

@@ -30,7 +30,7 @@ from kippcurve.generators import (
 )
 from kippcurve.generators import random_partial_isometry
 from kippcurve.homopoly import HomoPoly3, divide, linear, mul
-from kippcurve.kippenhahn import kipp_poly_det
+from kippcurve.kippenhahn import kipp_poly_det, kipp_poly_expanded
 from kippcurve.linalg import schur_triangularize
 
 
@@ -237,6 +237,80 @@ class TestFitEllipseFactor:
 # --- flat detection ---
 
 
+FLAT_TOP = np.array([[0.3 + 0.1j, 0.7], [0.0, -0.2j]])  # the criterion-4 ellipse block
+
+# flat_3x3 eigenvalues, theta, mu and the Haar seed of the flat items 104 and
+# 188 of the benchmark's planted workload at seed 2108
+PLANTED_MISSES = {
+    104: (
+        [-0.40869288149827276 - 0.010546804500486414j, -0.030469202055504595 - 0.4174981211125681j,
+         0.38016854920463666 + 0.17422190490369j],
+        2.763242806085674, 0.5156876519562905, 5225815067988226823,
+    ),
+    188: (
+        [-0.23423816347833668 + 0.15417052607890536j, -0.09827192210556254 + 0.18330948101590272j,
+         -0.4010721792554883 - 0.06372619417603297j],
+        2.9079227086636714, 0.5187760271513685, 4531541294078531803,
+    ),
+}
+
+
+def planted_flat_matrix(lams, theta, mu, unitary_seed):
+    """(U* (FLAT_TOP + flat_3x3) U, theta, mu) with U Haar from unitary_seed."""
+    u = haar_unitary(5, np.random.default_rng(unitary_seed))
+    return u.conj().T @ scipy.linalg.block_diag(FLAT_TOP, flat_3x3(*lams, theta, mu)) @ u, theta, mu
+
+
+def _disc_draw(rng, radius):
+    return complex(radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
+
+
+def flat_params(rng):
+    """(lams, theta, mu) of a flat_3x3 block, drawn as in acceptance criterion 4."""
+    lams = [_disc_draw(rng, 0.45) for _ in range(3)]
+    theta = float(rng.uniform(0.1, np.pi - 0.1))
+    mu = max(0.0, -min((np.exp(-1j * theta) * l).real for l in lams)) + float(rng.uniform(0.1, 0.6))
+    return lams, theta, mu
+
+
+def criterion4_blocks():
+    """The 20 flat_3x3 blocks of acceptance criterion 4."""
+    rng = np.random.default_rng(11003)
+    out = []
+    for _ in range(20):
+        lams, theta, mu = flat_params(rng)
+        out.append(flat_3x3(*lams, theta, mu))
+    return out
+
+
+def flat_drop_inputs():
+    """Flat blocks bare, conjugated and perturbed by eps G (||G|| = 1) for eps
+    from 1e-10 to 1e-3, so that the split gap lands on both sides of tol;
+    the three-point star; Gaussian n = 6..12, and one of norm about 1e-11,
+    whose gaps all lie within tol while most exceed the Weyl rate times the
+    grid step, so that only the slack keeps their brackets."""
+    rng = np.random.default_rng(2108)
+    planted = [planted_flat_matrix(*flat_params(rng), int(rng.integers(2**63)))[0] for _ in range(8)]
+    planted += [planted_flat_matrix(*p)[0] for p in PLANTED_MISSES.values()]
+    out = criterion4_blocks() + planted + [np.diag([1.0, 1.0j, -1.0])]
+    for a in planted:
+        for eps in (1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 1e-6, 1e-3):
+            g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+            out.append(a + eps * g / np.linalg.norm(g, 2))
+    for n in range(6, 13):
+        out.append((rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / 2.0)
+    out.append(1e-11 * out[-1][:5, :5])
+    return out
+
+
+def gradient(p):
+    """Exact partial derivatives (d/dx, d/dy, d/dz) of p from its coefficient array."""
+    c, d = p.c, p.degree
+    j, k = np.indices((d, d))
+    steps = np.arange(1, d + 1)
+    return [HomoPoly3(g) for g in ((d - j - k) * c[:d, :d], steps[:, None] * c[1:, :d], steps * c[:d, 1:])]
+
+
 class TestDetectFlat:
     def test_three_point_star(self):
         # eigenvalues 1, i, -1: pairwise collisions of Re(e^{-i t} lam)
@@ -266,6 +340,48 @@ class TestDetectFlat:
     def test_meaningless_tol_rejected(self, tol):
         with pytest.raises(ValueError):
             detect_flat(np.diag([1.0, 1.0j, -1.0]), tol=tol)
+
+    @pytest.mark.parametrize("item", sorted(PLANTED_MISSES))
+    def test_collision_beside_a_smaller_gap(self, item):
+        # at these planted flat items another pair's gap is the smaller one
+        # on the grid points around the collision, so a scan of the smallest
+        # gap alone gives the collision no bracket of its own
+        a, theta, mu = planted_flat_matrix(*PLANTED_MISSES[item])
+        found = detect_flat(a)
+        assert min(max(abs(t - theta), abs(m - mu)) for t, m in found) < 1e-6
+        assert "flat_quartic" in [c.kind for c in classify_curve(a, tol=1e-7)]
+
+
+class TestFlatDrop:
+    def test_drops_change_nothing(self, monkeypatch):
+        # with an infinite Weyl rate no bracket is ever dropped
+        inputs = flat_drop_inputs()
+        pruned = [detect_flat(a) for a in inputs]
+        monkeypatch.setattr(classify_mod, "_weyl_rate", lambda h, k: np.inf)
+        reference = [detect_flat(a) for a in inputs]
+        assert [repr(f) for f in pruned] == [repr(f) for f in reference]
+        assert sum(map(len, pruned)) > 100
+
+    def test_every_collision_is_a_node(self):
+        # a collision of two analytic eigenvalue branches is a double root
+        # of p(cos t, sin t, .), so p and its gradient vanish there, on the
+        # determinant route and on the closed form of the Schur form alike
+        mats = [scipy.linalg.block_diag(FLAT_TOP, c) for c in criterion4_blocks()]
+        mats += [planted_flat_matrix(*p)[0] for p in PLANTED_MISSES.values()]
+        nodes = 0
+        for a in mats:
+            found = detect_flat(a)
+            tri = schur_triangularize(a, order="lex").triangular
+            for p in (kipp_poly_det(a), kipp_poly_expanded(tri)):
+                scale = np.max(np.abs(p.c))
+                for th, mu in found:
+                    at = (np.cos(th), np.sin(th), mu)
+                    assert abs(p(*at)) < 1e-12 * scale
+                    assert max(abs(g(*at)) for g in gradient(p)) < 1e-12 * scale
+                    # a point just off the node is not one
+                    assert max(abs(g(at[0], at[1], mu + 1e-3)) for g in gradient(p)) > 1e-9 * scale
+                    nodes += 1
+        assert nodes > 100
 
 
 # --- condition reports ---
@@ -440,10 +556,6 @@ class TestClassifyCurve:
 # --- the sweep screen in front of the divisions ---
 
 
-def _disc_draw(rng, radius):
-    return complex(radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
-
-
 def screen_stress_matrices():
     """Seeded matrices on and near every factorization classify_curve peels.
 
@@ -455,7 +567,6 @@ def screen_stress_matrices():
     p moves by eps but the division remainder only by eps^3 or eps^5).
     """
     rng = np.random.default_rng(4459)
-    top = np.array([[0.3 + 0.1j, 0.7], [0.0, -0.2j]])
     base, clusters = [], []
     for k in range(240):
         if k % 3 < 2:
@@ -465,10 +576,8 @@ def screen_stress_matrices():
                     break
             block = two_ellipse_block(*lams, *rng.uniform(0.3, 0.9, size=2))
         else:
-            lams = [_disc_draw(rng, 0.45) for _ in range(3)]
-            theta = float(rng.uniform(0.1, np.pi - 0.1))
-            mu = max(0.0, -min((np.exp(-1j * theta) * l).real for l in lams)) + float(rng.uniform(0.1, 0.6))
-            block = scipy.linalg.block_diag(top, flat_3x3(*lams, theta, mu))
+            lams, theta, mu = flat_params(rng)
+            block = scipy.linalg.block_diag(FLAT_TOP, flat_3x3(*lams, theta, mu))
         u = haar_unitary(5, rng)
         base.append(u.conj().T @ block @ u)
     for k in range(20):
