@@ -9,8 +9,9 @@ where an ellipse with foci li, lj and minor axis r corresponds to the
 quadratic l_i l_j - (r^2/4)(x^2 + y^2), a point to a linear factor, and
 the flat cubic is a degree-3 factor whose dual curve carries a line
 segment, matched at the directions where `detect_flat` finds two
-adjacent pencil eigenvalues colliding (each gap scanned and refined on
-its own, brackets that Weyl's bound rules out dropped).
+adjacent pencil eigenvalues colliding (each gap scanned on its own and
+refined by safeguarded Newton steps on its Hellmann-Feynman slope,
+brackets that Weyl's bound rules out dropped).
 `classify_curve` peels these factors off numerically, each
 by synthetic division (`homopoly.divide`) of the polynomial's
 coefficient array by a linear or conic form monic in z, after `_screen`
@@ -41,7 +42,7 @@ from .linalg import as_matrix, hermitian_parts, schur_triangularize
 
 DEFAULT_TOL = 1e-9
 _FLAT_GRID = 256  # angles of detect_flat's coarse gap scan over [0, pi)
-_GOLDEN_ITERS = 70  # golden-section steps per bracket
+_NEWTON_ITERS = 12  # cap on the safeguarded Newton steps per bracket
 
 
 # --- circular support fit ---
@@ -168,47 +169,85 @@ def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
 # --- flat-direction detection ---
 
 
-def _gap(h: np.ndarray, k: np.ndarray, thetas: np.ndarray, j: np.ndarray) -> np.ndarray:
-    # gap lam_{j+1} - lam_j of the pencil at each angle, with its own j
-    lams = np.linalg.eigvalsh(_pencil(h, k, thetas))
-    rows = np.arange(len(j))
-    return lams[rows, j + 1] - lams[rows, j]
-
-
 def _weyl_rate(h: np.ndarray, k: np.ndarray) -> float:
     # bound on |d gap_j / d theta|: each eigenvalue moves at most ||H|| + ||K|| per radian
     return 2.0 * (np.linalg.norm(h, 2) + np.linalg.norm(k, 2))
 
 
-def _golden_min(f, lo: np.ndarray, hi: np.ndarray, j: np.ndarray, rate: float, slack: float):
-    """Golden-section minimizers of f(., j) on the brackets [lo, hi], refined in lockstep.
+def _newton_min(h, k, x: np.ndarray, step: float, j: np.ndarray, rate: float, slack: float):
+    """Minimizers of gap j of the pencil on [x - step, x + step], by safeguarded Newton in lockstep.
 
-    f maps abscissae and their gap indices to gap values, so each step
-    costs one call for all brackets left.  After every call a bracket
-    whose smaller probe value exceeds rate (b - a) + slack is dropped:
-    f moves at most rate per radian, so it stays above slack on all of
-    [a, b].  Returns (minimizers, kept), kept the positions in lo of the
-    brackets that ran every step; the loop ends early once none is left.
+    Each step diagonalizes the pencil at every live iterate x with one
+    stacked eigh, for the gap g = lam_{j+1} - lam_j and, by Hellmann-Feynman,
+    its slope g' = u_{j+1}* D u_{j+1} - u_j* D u_j, D = -sin x H + cos x K.
+    The sign of g' moves one end of the bracket [a, b] to x, and the next
+    iterate is the Newton point x - g / g', or the midpoint of [a, b] when
+    that leaves (a, b).  At a true crossing g is V-shaped, and one step
+    from either side lands on the apex to second order.  A bracket stops
+    when g is 0 to working precision (4 ulps of the largest |lam|), at a
+    step of a few ulps, or after _NEWTON_ITERS steps, and yields its best
+    probe.  It is dropped at a probe where g exceeds rate (b - a) + slack
+    while no probe so far came within slack: g moves at most rate per
+    radian, so no later probe in [a, b] can come within slack either.
+    Returns (minimizers, kept), kept the positions in x of the brackets
+    not dropped.
     """
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b, kept = lo, hi, np.arange(len(lo))
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = np.split(f(np.concatenate([c, d]), np.concatenate([j, j])), 2)
-    for _ in range(_GOLDEN_ITERS):
-        live = np.minimum(fc, fd) <= rate * (b - a) + slack
-        if not live.all():
-            a, b, c, d, fc, fd, j, kept = (v[live] for v in (a, b, c, d, fc, fd, j, kept))
-        if not len(kept):
+    a, b, idx = x - step, x + step, np.arange(len(x))
+    jj = np.stack([j, j + 1], axis=1)
+    best_x, best_g = x, np.full(len(x), np.inf)
+    res = np.full(len(x), np.nan)  # stays nan for a dropped bracket
+    for _ in range(_NEWTON_ITERS):
+        if not len(idx):
             break
-        left = fc < fd
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
-        probe = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        fp = f(probe, j)
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-    return (a + b) / 2.0, kept
+        lams, vecs = np.linalg.eigh(_pencil(h, k, x))
+        rows = np.arange(len(x))[:, None]
+        pair = lams[rows, jj]
+        g = pair[:, 1] - pair[:, 0]
+        u = vecs[rows, :, jj]  # u[m, c] is the eigenvector of lam_{jj[m, c]}
+        d = np.cos(x)[:, None, None] * k - np.sin(x)[:, None, None] * h
+        du = np.einsum("mci,mij,mcj->mc", u.conj(), d, u).real
+        slope = du[:, 1] - du[:, 0]
+        better = g < best_g
+        best_x, best_g = np.where(better, x, best_x), np.where(better, g, best_g)
+        a, b = np.where(slope < 0.0, x, a), np.where(slope > 0.0, x, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - g / slope
+        nxt = np.where((a < newton) & (newton < b), newton, (a + b) / 2.0)
+        step_len = np.minimum(np.abs(newton - x), np.abs(nxt - x))
+        drop = (g > rate * (b - a) + slack) & (best_g > slack)
+        zero = g <= 4.0 * np.finfo(float).eps * np.maximum(-lams[:, 0], lams[:, -1])
+        stop = ~drop & (zero | (step_len <= 4.0 * np.spacing(np.pi)))
+        res[idx[stop]] = best_x[stop]
+        live = ~(drop | stop)
+        a, b, x, jj, idx, best_x, best_g = (v[live] for v in (a, b, nxt, jj, idx, best_x, best_g))
+    res[idx] = best_x
+    kept = np.flatnonzero(~np.isnan(res))
+    return res[kept], kept
+
+
+def _dedupe(cands) -> list[tuple[float, float]]:
+    """The candidates (theta, mu) in order, but for each within 1e-6 in both of one kept before it.
+
+    theta is taken mod pi.  Kept ones are filed by cells of width at least
+    2e-6 in theta (wrapping past pi) and in mu, so that every kept one
+    within 1e-6 of a candidate sits in one of the nine cells around it.
+    """
+    n_th = int(np.pi // 2e-6)
+    w_th = np.pi / n_th
+    cells: dict = {}
+    out = []
+    for th, mu in cands:
+        ct, cm = int(th // w_th), int(mu // 2e-6)
+        near = (
+            (t0, m0)
+            for dt in (-1, 0, 1)
+            for dm in (-1, 0, 1)
+            for (t0, m0) in cells.get(((ct + dt) % n_th, cm + dm), ())
+        )
+        if not any(min(abs(th - t0), np.pi - abs(th - t0)) < 1e-6 and abs(mu - m0) < 1e-6 for t0, m0 in near):
+            cells.setdefault((ct % n_th, cm), []).append((th, mu))
+            out.append((th, mu))
+    return out
 
 
 def _check_tol(tol: float) -> None:
@@ -222,7 +261,8 @@ def detect_flat(a, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
     Each adjacent gap lam_{j+1} - lam_j of cos(theta) H + sin(theta) K is
     scanned on one grid of _FLAT_GRID angles over [0, pi), and every grid
     local minimum of every gap gets its own bracket of one grid step on
-    each side, refined by golden section on that gap alone.  (The pencil
+    each side, refined on that gap alone by `_newton_min`, at most
+    _NEWTON_ITERS safeguarded Newton steps from the grid point.  (The pencil
     at theta + pi is minus the one at theta, so gap j continues past pi as
     gap n - 2 - j.)  A collision of gap j within tol scale of zero, scale =
     max(1, largest |lam|), is returned as (theta, mu) with mu = minus the
@@ -233,10 +273,12 @@ def detect_flat(a, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
     eigenvalue moves at most ||H|| + ||K|| per radian, so gap j moves at
     most L = 2 (||H|| + ||K||).  With slack = tol max(1, ||H|| + ||K||),
     which is at least tol scale, a bracket is dropped when its grid gap
-    exceeds L pi / _FLAT_GRID + slack, or at any golden step when both
-    probes exceed L (b - a) + slack: the gap then exceeds slack on the
-    whole bracket, so the bracket could not end in an accepted collision.
-    The brackets left run every step, so the drops change no result.
+    exceeds L pi / _FLAT_GRID + slack, or at any Newton step whose probe
+    exceeds L (b - a) + slack while no earlier probe came within slack:
+    the gap then exceeds slack on what is left of the bracket, so the
+    bracket could not end in an accepted collision.  A bracket's steps do
+    not depend on the others', so the drops change no result.  A collision
+    within 1e-6 of an earlier one in both theta (mod pi) and mu is dropped.
     """
     _check_tol(tol)
     h, k = hermitian_parts(a)
@@ -249,26 +291,17 @@ def detect_flat(a, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
     rate = _weyl_rate(h, k)
     slack = tol * max(1.0, rate / 2.0)
     rows, js = np.nonzero((gaps <= before) & (gaps <= after) & (gaps <= rate * step + slack))
-    th_raw, kept = _golden_min(
-        lambda t, j: _gap(h, k, t, j), thetas[rows] - step, thetas[rows] + step, js, rate, slack
-    )
+    th_raw, kept = _newton_min(h, k, thetas[rows], step, js, rate, slack)
     th_stars = np.mod(th_raw, np.pi)
     # past either end of [0, pi) gap j is gap n - 2 - j
     js = np.where(th_stars == th_raw, js[kept], n - 2 - js[kept])
 
-    out: list[tuple[float, float]] = []
+    cands = []
     for th_star, j, vals in zip(th_stars, js, np.linalg.eigvalsh(_pencil(h, k, th_stars))):
-        th_star = float(th_star)
         scale = max(1.0, float(np.max(np.abs(vals))))
-        if vals[j + 1] - vals[j] > tol * scale:
-            continue
-        mu = -float(vals[j] + vals[j + 1]) / 2.0
-        dup = any(
-            min(abs(th_star - t0), np.pi - abs(th_star - t0)) < 1e-6 and abs(mu - m0) < 1e-6
-            for (t0, m0) in out
-        )
-        if not dup:
-            out.append((th_star, mu))
+        if vals[j + 1] - vals[j] <= tol * scale:
+            cands.append((float(th_star), -float(vals[j] + vals[j + 1]) / 2.0))
+    out = _dedupe(cands)
     out.sort()
     return out
 
@@ -503,7 +536,8 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> list:
     m = as_matrix(a)
     if m.shape[0] != 5:
         raise NotDim5("classification targets 5x5 matrices")
-    eigs = sorted(np.linalg.eigvals(m), key=lambda z: (_lex_key(z), z.real, z.imag))
+    # as Python complex: _lex_key's round is several times cheaper on Python floats
+    eigs = sorted(np.linalg.eigvals(m).tolist(), key=lambda z: (_lex_key(z), z.real, z.imag))
     thetas, lams = _sweep(m)
     cur = _fit_sweep(thetas, lams)
     point_ok, pair_ok = _screen(eigs, thetas, lams, cur, tol)

@@ -273,14 +273,15 @@ def flat_params(rng):
     return lams, theta, mu
 
 
+def criterion4_params():
+    """(lams, theta, mu) of the 20 flat_3x3 blocks of acceptance criterion 4."""
+    rng = np.random.default_rng(11003)
+    return [flat_params(rng) for _ in range(20)]
+
+
 def criterion4_blocks():
     """The 20 flat_3x3 blocks of acceptance criterion 4."""
-    rng = np.random.default_rng(11003)
-    out = []
-    for _ in range(20):
-        lams, theta, mu = flat_params(rng)
-        out.append(flat_3x3(*lams, theta, mu))
-    return out
+    return [flat_3x3(*lams, theta, mu) for lams, theta, mu in criterion4_params()]
 
 
 def flat_drop_inputs():
@@ -301,6 +302,33 @@ def flat_drop_inputs():
         out.append((rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / 2.0)
     out.append(1e-11 * out[-1][:5, :5])
     return out
+
+
+# len(detect_flat(a, tol)) on flat_drop_inputs(), as the golden-section
+# refinement that Newton's method replaced returned them
+FLAT_DROP_COUNTS = {
+    1e-9: [1] * 20 + [5, 3, 3, 3, 3, 3, 3, 3, 2, 3]
+    + [3, 5, 5, 5, 2, 0, 0, 0, 3, 3, 3, 2, 0, 0, 0, 3, 3, 3, 2, 0, 0, 0, 3, 3, 3, 3, 0, 0, 0, 3, 3, 3, 1, 0, 0]
+    + [0, 3, 3, 3, 3, 1, 0, 0, 3, 3, 3, 2, 0, 0, 0, 3, 3, 3, 2, 0, 0, 0, 2, 2, 2, 2, 0, 0, 0, 3, 3, 3, 3, 0, 0]
+    + [0, 0, 0, 0, 0, 0, 0, 0, 5],
+    1e-7: [1] * 20 + [5, 3, 3, 3, 3, 3, 3, 3, 2, 3]
+    + [3, 5, 5, 5, 5, 5, 0, 0, 3, 3, 3, 3, 3, 0, 0, 3, 3, 3, 3, 3, 1, 0, 3, 3, 3, 3, 3, 1, 0, 3, 3, 3, 3, 3, 0]
+    + [0, 3, 3, 3, 3, 3, 0, 0, 3, 3, 3, 3, 3, 1, 0, 3, 3, 3, 3, 3, 0, 0, 2, 2, 2, 2, 2, 0, 0, 3, 3, 3, 3, 3, 0]
+    + [0, 0, 0, 0, 0, 0, 0, 0, 5],
+}
+
+
+def count_eigensolves(monkeypatch):
+    """Stack sizes of the np.linalg.eigh and eigvalsh calls made from now on, by name."""
+    calls = {"eigh": [], "eigvalsh": []}
+    for name, solve in [(name, getattr(np.linalg, name)) for name in calls]:
+
+        def counted(m, *args, _name=name, _solve=solve, **kwargs):
+            calls[_name].append(1 if np.ndim(m) == 2 else len(m))
+            return _solve(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def gradient(p):
@@ -341,6 +369,32 @@ class TestDetectFlat:
         with pytest.raises(ValueError):
             detect_flat(np.diag([1.0, 1.0j, -1.0]), tol=tol)
 
+    def test_three_point_star_to_roundoff(self):
+        found = detect_flat(np.diag([1.0, 1.0j, -1.0]))
+        want = [(np.pi / 4, -np.sqrt(0.5)), (np.pi / 2, 0.0), (3 * np.pi / 4, -np.sqrt(0.5))]
+        assert np.allclose(found, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("top", [False, True])
+    def test_planted_directions_to_roundoff(self, top):
+        # the criterion-4 blocks, bare and under the ellipse block
+        for lams, theta, mu in criterion4_params():
+            a = flat_3x3(*lams, theta, mu)
+            found = detect_flat(scipy.linalg.block_diag(FLAT_TOP, a) if top else a)
+            assert min(max(abs(t - theta), abs(m - mu)) for t, m in found) < 1e-12
+
+    @pytest.mark.parametrize("scalar", [0.3, 0.0])
+    def test_scalar_matrix_gives_every_grid_direction(self, monkeypatch, scalar):
+        # every gap of a scalar matrix's pencil is 0 at every angle: each of
+        # the 4 x 256 grid points brackets a collision, all at once
+        calls = count_eigensolves(monkeypatch)
+        found = detect_flat(scalar * np.eye(5))
+        thetas = np.linspace(0.0, np.pi, 256, endpoint=False)
+        assert np.allclose(found, np.stack([thetas, -scalar * np.cos(thetas)], axis=1), rtol=0.0, atol=1e-12)
+        # one eigh for all brackets, which stop at g = 0; eigvalsh for the
+        # grid scan and the acceptance test
+        assert calls["eigh"] == [4 * 256]
+        assert calls["eigvalsh"] == [256, 4 * 256]
+
     @pytest.mark.parametrize("item", sorted(PLANTED_MISSES))
     def test_collision_beside_a_smaller_gap(self, item):
         # at these planted flat items another pair's gap is the smaller one
@@ -361,6 +415,40 @@ class TestFlatDrop:
         reference = [detect_flat(a) for a in inputs]
         assert [repr(f) for f in pruned] == [repr(f) for f in reference]
         assert sum(map(len, pruned)) > 100
+
+    @pytest.mark.parametrize("tol", sorted(FLAT_DROP_COUNTS))
+    def test_pinned_direction_counts(self, tol):
+        assert [len(detect_flat(a, tol)) for a in flat_drop_inputs()] == FLAT_DROP_COUNTS[tol]
+
+    def test_few_eigensolves_per_bracket(self, monkeypatch):
+        # Newton's method lands on a true crossing in a few steps; brackets
+        # refine in lockstep, one stacked eigh per step for all that are left
+        mats = [scipy.linalg.block_diag(FLAT_TOP, c) for c in criterion4_blocks()]
+        mats += [planted_flat_matrix(*p)[0] for p in PLANTED_MISSES.values()]
+        calls = count_eigensolves(monkeypatch)
+        for a in mats:
+            calls["eigh"].clear()
+            assert detect_flat(a)
+            assert 1 <= len(calls["eigh"]) <= 6
+
+    def test_dedupe_matches_pairwise_scan(self):
+        # candidates clustered around the wrap at pi and around cell edges
+        def pairwise(cands):
+            out = []
+            for th, mu in cands:
+                if not any(min(abs(th - t0), np.pi - abs(th - t0)) < 1e-6 and abs(mu - m0) < 1e-6 for t0, m0 in out):
+                    out.append((th, mu))
+            return out
+
+        rng = np.random.default_rng(2108)
+        for _ in range(500):
+            n = int(rng.integers(1, 40))
+            th = rng.choice([0.0, 2e-6, 1.0, np.pi - 0.65e-6, np.pi - 1e-7], size=n)
+            mu = rng.choice([0.0, 2e-6, -0.3], size=n)
+            th = np.mod(th + rng.normal(scale=rng.choice([1e-7, 1e-6, 3e-6]), size=n), np.pi)
+            mu = mu + rng.normal(scale=rng.choice([1e-7, 1e-6, 3e-6]), size=n)
+            cands = list(zip(th.tolist(), mu.tolist()))
+            assert classify_mod._dedupe(cands) == pairwise(cands)
 
     def test_every_collision_is_a_node(self):
         # a collision of two analytic eigenvalue branches is a double root
