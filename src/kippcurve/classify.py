@@ -38,9 +38,8 @@ import numpy as np
 from .errors import NegativeMinorAxisSquared, NotDim5
 from .homopoly import HomoPoly3, divide, linear, max_abs_coeff, max_coeff_diff, mul
 from .kippenhahn import _E4, _check_upper_5x5, _correction_cubic, _fit_sweep, _lin, _pencil, _sweep
-from .linalg import as_matrix, hermitian_parts, schur_triangularize
+from .linalg import DEFAULT_TOL, as_matrix, hermitian_parts, schur_triangularize
 
-DEFAULT_TOL = 1e-9
 _FLAT_GRID = 256  # angles of detect_flat's coarse gap scan over [0, pi)
 _NEWTON_ITERS = 12  # cap on the safeguarded Newton steps per bracket
 

@@ -40,6 +40,7 @@ from .harness import (
     s5_identity_check,
 )
 from .kippenhahn import boundary_polyline, kipp_poly_det, kipp_poly_expanded
+from .linalg import DEFAULT_TOL
 from .homopoly import max_abs_coeff, max_coeff_diff
 from .svgplot import render_svg
 
@@ -119,7 +120,7 @@ def poly(matrix, expanded, check_oracle, out):
 
 @main.command()
 @click.argument("matrix", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", default=1e-9, show_default=True, help="factor-peeling residual tolerance")
+@click.option("--tol", default=DEFAULT_TOL, show_default=True, help="factor-peeling residual tolerance")
 @click.option("--samples", default=64, type=click.IntRange(min=16), show_default=True, help="support samples for the disc fit")
 @click.option("--shape", is_flag=True, help="require the shape decomposition (errors for non-5x5 input)")
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False), default=None, help="also render the curve to this SVG file")
@@ -167,14 +168,11 @@ def boundary(matrix, samples, out, svg_path):
 
 
 def _emit_matrix(m: np.ndarray, out: str | None, params: dict) -> None:
-    obj = formats.matrix_to_json(m)
-    record = json.dumps({"params": params}, sort_keys=True)
     if out is None:
-        click.echo(json.dumps(obj, sort_keys=True, indent=2))
-        click.echo(record, err=True)
+        click.echo(json.dumps(formats.matrix_to_json(m), sort_keys=True, indent=2))
     else:
         formats.dump_matrix(m, out)
-        click.echo(record, err=True)
+    click.echo(json.dumps({"params": params}, sort_keys=True), err=True)
 
 
 @main.group()

@@ -31,6 +31,8 @@ def matrix_to_json(m) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("entries must be finite")
     return {
         "dim": int(m.shape[0]),
         "entries": [pair(v) for v in m.reshape(-1)],
@@ -67,9 +69,10 @@ def load_matrix(path) -> np.ndarray:
 
 
 def dump_matrix(m, path) -> None:
+    # serialize first, so a rejected matrix leaves no file behind
+    text = json.dumps(matrix_to_json(m), sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(matrix_to_json(m), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def poly_to_json(p: HomoPoly3) -> dict:

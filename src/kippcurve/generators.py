@@ -45,7 +45,7 @@ def s5_family(a: float, b, c) -> np.ndarray:
     c = complex(c)
     if not (0.0 <= a < 1.0):
         raise ParameterOutOfDisc(f"a = {a} outside [0, 1)")
-    if abs(b) >= 1.0 or abs(c) >= 1.0:
+    if not (abs(b) < 1.0 and abs(c) < 1.0):  # nan fails too
         raise ParameterOutOfDisc("b and c must lie in the open unit disc")
     sa = np.sqrt(1.0 - a * a)
     sb = np.sqrt(1.0 - abs(b) ** 2)
@@ -77,7 +77,7 @@ def flat_3x3(l3, l4, l5, theta: float, mu: float, phase_a: float = 0.0, phase_b:
     mu = float(mu)
     w = np.exp(-1j * theta)
     mus = (w * lam).real + mu
-    if np.min(mus) <= 0.0:
+    if not np.min(mus) > 0.0:  # nan fails too
         raise InfeasibleMu(f"shifted weights {mus} must all be positive")
     m3, m4, m5 = mus
     a = 2.0 * np.sqrt(m3 * m4) * np.exp(1j * phase_a)

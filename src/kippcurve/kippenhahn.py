@@ -21,8 +21,8 @@ The closed form is prod L_i - ((x^2+y^2)/4) Q with L_i the linear
 forms of the diagonal and Q a cubic in the entries (`_correction_cubic`);
 the factorization condition reports in `classify` read their entry side
 off Q's coefficients.  Also here: the one function that builds the pencil
-stack, and the sweeps that sample the curve's points and the boundary
-of W(A).
+stack, and the one eigenvector sweep that samples the curve's points,
+whose top-eigenvalue column is the boundary of W(A).
 """
 
 from __future__ import annotations
@@ -220,19 +220,6 @@ def kipp_poly_expanded(a) -> HomoPoly3:
 # --- spectral geometry of the pencil ---
 
 
-def _tangency(m: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    # points u* A u for the eigenvector columns u of each pencil in the stack
-    return np.einsum("tik,ij,tjk->tk", vecs.conj(), m, vecs)
-
-
-def boundary_polyline(a, samples: int = 256) -> np.ndarray:
-    """Boundary points of W(A): tangency point of the top eigenvector per angle."""
-    m = as_matrix(a)
-    thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    _, vecs = np.linalg.eigh(_pencil(*hermitian_parts(m), thetas))
-    return _tangency(m, vecs[:, :, -1:])[:, 0]
-
-
 def curve_points(a, samples: int = 256) -> np.ndarray:
     """Curve points at samples angles over [0, 2 pi), one row per angle.
 
@@ -242,4 +229,9 @@ def curve_points(a, samples: int = 256) -> np.ndarray:
     m = as_matrix(a)
     thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     _, vecs = np.linalg.eigh(_pencil(*hermitian_parts(m), thetas))
-    return _tangency(m, vecs)
+    return np.einsum("tik,tik->tk", vecs.conj(), m @ vecs)
+
+
+def boundary_polyline(a, samples: int = 256) -> np.ndarray:
+    """Boundary points of W(A): the last column of `curve_points`, the top eigenvector's."""
+    return curve_points(a, samples)[:, -1]

@@ -1,10 +1,10 @@
 """Dense complex linear algebra substrate.
 
-Hermitian splitting, ordered Schur forms and the structural predicates
-(partial isometry, class S_n membership, irreducibility, kernel dimension,
-block form, reduction of a degenerate kernel summand) that the polynomial
-and classification layers build on.  Everything is plain numpy/scipy on
-small dense matrices.
+Hermitian splitting, the lex-ordered Schur form and the structural
+predicates (partial isometry, class S_n membership, irreducibility, kernel
+dimension, block form, reduction of a degenerate kernel summand) that the
+polynomial and classification layers build on.  Everything is plain
+numpy/scipy on small dense matrices.
 """
 
 from __future__ import annotations
@@ -69,35 +69,21 @@ def kernel_dimension(a, tol: float = DEFAULT_TOL) -> int:
     return int(np.sum(sv <= tol * max(1.0, float(sv[0]))))
 
 
-def _commutant_spectrum(a, tol: float) -> tuple[np.ndarray, float]:
-    # XA = AX and XA* = A*X stacked as one linear system on vec(X): its
-    # singular values and the cutoff below which they count as zero
+def is_irreducible(a, tol: float = DEFAULT_TOL) -> bool | None:
+    """True iff the joint commutant of A, A* is trivial (scalars only).
+
+    XA = AX and XA* = A*X are stacked as one linear system on vec(X), and
+    the commutant's dimension is the number of its singular values at or
+    below tol * max(1, largest).  Returns None when some singular value
+    falls inside the decision band around that cutoff, where neither
+    verdict would be trustworthy.
+    """
     m = as_matrix(a)
     eye = np.eye(m.shape[0])
     top = np.kron(m.T, eye) - np.kron(eye, m)
     bot = np.kron(m.conj(), eye) - np.kron(eye, m.conj().T)
     sv = np.linalg.svd(np.vstack([top, bot]), compute_uv=False)
-    return sv, tol * max(1.0, float(sv[0]))
-
-
-def joint_commutant_dimension(a, tol: float = DEFAULT_TOL) -> int:
-    """Dimension of {X : XA = AX and XA* = A*X}.
-
-    The two commutator equations are stacked as one linear system on vec(X)
-    and the kernel is counted from its singular values.
-    """
-    sv, cutoff = _commutant_spectrum(a, tol)
-    return int(np.sum(sv <= cutoff))
-
-
-def is_irreducible(a, tol: float = DEFAULT_TOL) -> bool | None:
-    """True iff the joint commutant of A, A* is trivial (scalars only).
-
-    Returns None when some singular value of the commutant system falls
-    inside the decision band around the cutoff, where neither verdict
-    would be trustworthy.
-    """
-    sv, cutoff = _commutant_spectrum(a, tol)
+    cutoff = tol * max(1.0, float(sv[0]))
     # borderline: anything within a decade of the cutoff on either side
     near = (sv > cutoff / 10.0) & (sv < cutoff * 10.0)
     if np.any(near):
@@ -114,27 +100,26 @@ class SchurForm:
     eigenvalues: np.ndarray
 
 
-def schur_triangularize(a, order: str | None = "lex") -> SchurForm:
-    """Complex Schur form with a caller-chosen diagonal ordering.
+def schur_triangularize(a, order: str = "lex") -> SchurForm:
+    """Complex Schur form with the diagonal sorted by (Re, Im) ascending.
 
-    order="lex" sorts the diagonal by (Re, Im) ascending, each move one
-    LAPACK ztrexc call; order=None keeps whatever the QR iteration produced.
+    Each move is one LAPACK ztrexc call.  "lex" is the only ordering;
+    any other order raises ValueError.
     """
+    if order != "lex":
+        raise ValueError(f"unknown ordering policy {order!r}")
     m = as_matrix(a)
     n = m.shape[0]
     try:
         t, u = scipy.linalg.schur(m, output="complex")
     except Exception as exc:
         raise ConvergenceFailure(f"schur iteration failed: {exc}") from exc
-    if order == "lex":
-        for pos in range(n):
-            diag = [(t[j, j].real, t[j, j].imag) for j in range(pos, n)]
-            best = pos + min(range(len(diag)), key=diag.__getitem__)
-            t, u, info = scipy.linalg.lapack.ztrexc(t, u, best + 1, pos + 1)
-            if info != 0:
-                raise ConvergenceFailure(f"ztrexc failed with info {info}")
-    elif order is not None:
-        raise ValueError(f"unknown ordering policy {order!r}")
+    for pos in range(n):
+        diag = [(t[j, j].real, t[j, j].imag) for j in range(pos, n)]
+        best = pos + min(range(len(diag)), key=diag.__getitem__)
+        t, u, info = scipy.linalg.lapack.ztrexc(t, u, best + 1, pos + 1)
+        if info != 0:
+            raise ConvergenceFailure(f"ztrexc failed with info {info}")
     return SchurForm(u, t, np.diag(t).copy())
 
 

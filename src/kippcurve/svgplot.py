@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classify import DiscFit
+from .classify import DiscFit, _lex_key
 from .kippenhahn import curve_points
 from .linalg import as_matrix
 
@@ -74,8 +74,8 @@ def render_svg(a, samples: int = 256, disc: DiscFit | None = None) -> str:
             f'r="{_fmt(disc.radius * sx)}" fill="none" stroke="#888888" '
             'stroke-width="1" stroke-dasharray="5 4"/>'
         )
-    for e in sorted(eigs, key=lambda z: (round(z.real, 12), round(z.imag, 12))):
-        cx, cy = float(e.real), float(e.imag)
+    for e in sorted(eigs.tolist(), key=_lex_key):
+        cx, cy = e.real, e.imag
         parts.append(
             f'<g stroke="#000000" stroke-width="1">'
             f'<line x1="{px(cx)}" y1="{_fmt(float(py(cy)) - 4.0)}" '

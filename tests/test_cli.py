@@ -189,6 +189,25 @@ class TestGenerate:
         res = runner.invoke(main, ["generate", "s5", "--a", "1.5", "--b", "0", "--c", "0"])
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["s5", "--a", "0.4", "--b", "nan", "--c", "0.1"],
+            ["two-ellipse", "--l1", "0", "--l2", "0", "--l3", "0", "--l4", "0", "--l5", "0", "--r", "1", "--s", "nan"],
+            ["two-ellipse", "--l1", "inf", "--l2", "0", "--l3", "0", "--l4", "0", "--l5", "0", "--r", "1", "--s", "1"],
+            ["flat3", "--l3", "0.2", "--l4", "0.1", "--l5", "-0.1", "--theta", "0", "--mu", "nan"],
+            ["flat3", "--l3", "0.2", "--l4", "0.1", "--l5", "-0.1", "--theta", "0", "--mu", "0.5", "--phase-a", "nan"],
+        ],
+    )
+    def test_non_finite_matrix_rejected(self, runner, tmp_path, args):
+        target = tmp_path / "bad.json"
+        res = runner.invoke(main, ["generate", *args, "--out", str(target)])
+        assert res.exit_code == 3
+        assert not target.exists()
+        res = runner.invoke(main, ["generate", *args])
+        assert res.exit_code == 3
+        assert "NaN" not in res.stdout and "Infinity" not in res.stdout
+
     def test_complex_param_rejected(self, runner):
         res = runner.invoke(main, ["generate", "s5", "--a", "0.1", "--b", "zzz", "--c", "0"])
         assert res.exit_code == 2

@@ -16,7 +16,6 @@ BENCH = Path(__file__).resolve().parents[1] / "kippbench"
 AWAITING_CALLER = {
     "is_class_sn",
     "is_irreducible",
-    "joint_commutant_dimension",
     "kernel_dimension",
     "reduce_partial_isometry",
 }

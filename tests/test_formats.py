@@ -59,6 +59,18 @@ def test_matrix_file_round_trip(tmp_path):
     assert np.array_equal(formats.load_matrix(path), m)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)])
+def test_non_finite_matrix_not_written(tmp_path, bad):
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = bad
+    with pytest.raises(ValueError):
+        formats.matrix_to_json(m)
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError):
+        formats.dump_matrix(m, path)
+    assert not path.exists()
+
+
 def test_poly_terms_sorted_and_pruned():
     p = HomoPoly3.from_terms(2, {(0, 0, 2): 1.0, (2, 0, 0): -0.25, (1, 1, 0): 0.0})
     obj = formats.poly_to_json(p)

@@ -66,6 +66,9 @@ class TestS5Family:
             s5_family(1.0, 0.1, 0.1)
         with pytest.raises(ParameterOutOfDisc):
             s5_family(0.2, 1.2j, 0.1)
+        for b, c in ((np.nan, 0.1), (0.1, complex(0.0, np.nan)), (0.1, np.inf)):
+            with pytest.raises(ParameterOutOfDisc):
+                s5_family(0.4, b, c)
 
 
 class TestFlat3x3:
@@ -104,6 +107,10 @@ class TestFlat3x3:
         # mu = 0.05 makes Re(l5) + mu negative
         with pytest.raises(InfeasibleMu):
             flat_3x3(self.L3, self.L4, self.L5, 0.0, 0.05)
+        # nan weights are not positive either
+        for theta, mu in ((0.0, np.nan), (np.nan, 0.5)):
+            with pytest.raises(InfeasibleMu):
+                flat_3x3(self.L3, self.L4, self.L5, theta, mu)
 
 
 def test_haar_unitary():

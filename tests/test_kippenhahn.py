@@ -18,12 +18,14 @@ from kippcurve.homopoly import HomoPoly3, max_abs_coeff, max_coeff_diff, mul, su
 from kippcurve.kippenhahn import (
     _fit_sweep,
     _layer_projections,
+    _pencil,
     _sweep,
     boundary_polyline,
     curve_points,
     kipp_poly_det,
     kipp_poly_expanded,
 )
+from kippcurve.linalg import hermitian_parts
 
 
 def random_upper(rng, n=5):
@@ -250,18 +252,27 @@ def test_rotation_covariance():
 
 def test_support_function_matches_curve_cloud():
     rng = np.random.default_rng(9)
-    a = random_upper(rng)
-    samples, t = 64, 7
-    theta = 2 * np.pi * t / samples
-    h, k = (a + a.conj().T) / 2, (a - a.conj().T) / 2j
-    support = np.linalg.eigvalsh(np.cos(theta) * h + np.sin(theta) * k)[-1]
-    pts = curve_points(a, samples=samples)
-    proj = np.max(np.cos(theta) * pts.real + np.sin(theta) * pts.imag, axis=1)
+    gaussians = [(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / 2.0 for n in range(2, 13)]
+    samples = 64
+    thetas = 2 * np.pi * np.arange(samples) / samples
+    for a in [random_upper(rng)] + gaussians:
+        n, scale = a.shape[0], max(1.0, np.linalg.norm(a))
+        h, k = (a + a.conj().T) / 2, (a - a.conj().T) / 2j
+        support = np.array([np.linalg.eigvalsh(np.cos(th) * h + np.sin(th) * k)[-1] for th in thetas])
+        pts = curve_points(a, samples=samples)
+        assert pts.shape == (samples, n)
 
-    # the slice at theta attains the support value; no slice exceeds it
-    assert pts.shape == (samples, 5)
-    assert abs(proj[t] - support) < 1e-10
-    assert np.max(proj) <= support + 1e-9
+        # every curve point is u* A u for its own pencil eigenvector u
+        _, vecs = np.linalg.eigh(_pencil(*hermitian_parts(a), thetas))
+        want = [[np.vdot(u, a @ u) for u in v.T] for v in vecs]
+        assert np.max(np.abs(pts - want)) < 1e-13
+
+        # the boundary point at theta attains the support value there, and
+        # no point of the cloud lies beyond any supporting line
+        b = boundary_polyline(a, samples=samples)
+        assert np.max(np.abs((np.exp(-1j * thetas) * b).real - support)) < 1e-12 * scale
+        proj = (np.exp(-1j * thetas)[:, None] * pts.ravel()).real
+        assert np.max(proj.max(axis=1) - support) < 1e-12 * scale
 
 
 def test_spectral_slice_diag():

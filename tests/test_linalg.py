@@ -13,7 +13,6 @@ from kippcurve.linalg import (
     is_class_sn,
     is_irreducible,
     is_partial_isometry,
-    joint_commutant_dimension,
     kernel_dimension,
     reduce_partial_isometry,
     schur_triangularize,
@@ -108,14 +107,6 @@ def test_kernel_dimension():
         assert kernel_dimension(random_partial_isometry(5, kd, seed=kd)) == kd
 
 
-def test_joint_commutant_dimension():
-    assert joint_commutant_dimension(jordan_shift(5)) == 1
-    # three irreducible blocks, scalar commutant each
-    m = two_ellipse_block(0.3, -0.2j, 0.1 + 0.1j, -0.4, 0.2, 0.7, 0.5)
-    assert joint_commutant_dimension(m) == 3
-    assert joint_commutant_dimension(np.diag([1.0, 2.0, 3.0])) == 3
-
-
 def test_is_irreducible():
     assert is_irreducible(jordan_shift(5)) is True
     m = two_ellipse_block(0.3, -0.2j, 0.1 + 0.1j, -0.4, 0.2, 0.7, 0.5)
@@ -153,15 +144,20 @@ class TestSchur:
         want = np.sort_complex(np.linalg.eigvals(a))
         assert np.allclose(got, want, atol=1e-8)
 
-    def test_order_none_keeps_triangularity(self):
+    def test_lex_keeps_triangularity(self):
+        # real input: a conjugate pair shares its real part, so Im decides its order
         rng = np.random.default_rng(11)
         a = rng.normal(size=(4, 4))
-        f = schur_triangularize(a, order=None)
+        f = schur_triangularize(a, order="lex")
         assert np.max(np.abs(np.tril(f.triangular, -1))) == 0.0
+        keys = [(z.real, z.imag) for z in f.eigenvalues]
+        assert keys == sorted(keys)
 
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError):
             schur_triangularize(np.eye(2), order="modulus")
+        with pytest.raises(ValueError):
+            schur_triangularize(np.eye(2), order=None)
 
 
 class TestBlockForm:
