@@ -8,6 +8,8 @@ behind those factorizations, and runs randomized searches for partial
 isometries whose numerical range is a non-centered disc.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BadDims,
     ConvergenceFailure,
@@ -86,70 +88,5 @@ from .svgplot import render_svg
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadDims",
-    "ConvergenceFailure",
-    "IllConditionedInterpolation",
-    "InfeasibleMu",
-    "KippError",
-    "NegativeMinorAxisSquared",
-    "NotDim5",
-    "NotPartialIsometry",
-    "NotUpperTriangular",
-    "ParameterOutOfDisc",
-    "DEFAULT_TOL",
-    "PartialIsometryBlocks",
-    "SchurForm",
-    "as_matrix",
-    "block_form",
-    "hermitian_parts",
-    "is_class_sn",
-    "is_irreducible",
-    "is_partial_isometry",
-    "kernel_dimension",
-    "reduce_partial_isometry",
-    "schur_triangularize",
-    "HomoPoly3",
-    "max_abs_coeff",
-    "max_coeff_diff",
-    "boundary_polyline",
-    "curve_points",
-    "kipp_poly_det",
-    "kipp_poly_expanded",
-    "ConditionReport",
-    "ConditionRow",
-    "DiscFit",
-    "EllipseComponent",
-    "FlatQuarticComponent",
-    "PointComponent",
-    "UnclassifiedComponent",
-    "classify_curve",
-    "detect_flat",
-    "disc_verdict",
-    "divide_linear",
-    "entry_condition_rhs",
-    "fit_disc",
-    "fit_ellipse_factor",
-    "flat_report",
-    "matched_reports",
-    "two_ellipse_report",
-    "flat_3x3",
-    "haar_unitary",
-    "jordan_shift",
-    "ker2_family",
-    "random_partial_isometry",
-    "s5_family",
-    "two_ellipse_block",
-    "CampaignConfig",
-    "CampaignSummary",
-    "Ker2IdentityReport",
-    "OracleSuiteReport",
-    "S5IdentityReport",
-    "TrialRecord",
-    "conjecture_campaign",
-    "ker2_identity_check",
-    "oracle_identity_suite",
-    "run_campaign",
-    "s5_identity_check",
-    "render_svg",
-]
+# every public name bound above but the submodules, in import order
+__all__ = [name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType))]

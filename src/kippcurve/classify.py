@@ -42,6 +42,7 @@ from .linalg import DEFAULT_TOL, as_matrix, hermitian_parts, schur_triangularize
 
 _FLAT_GRID = 256  # angles of detect_flat's coarse gap scan over [0, pi)
 _NEWTON_ITERS = 12  # cap on the safeguarded Newton steps per bracket
+DISC_TOL = 1e-8  # support residual, relative to max(1, radius), below which a range reads circular
 
 
 # --- circular support fit ---
@@ -74,7 +75,7 @@ def fit_disc(a, samples: int = 64) -> DiscFit:
     return DiscFit(complex(coef[1], coef[2]), float(coef[0]), resid)
 
 
-def disc_verdict(fit: DiscFit, tol_disc: float = 1e-8) -> bool:
+def disc_verdict(fit: DiscFit, tol_disc: float = DISC_TOL) -> bool:
     """Circular iff the fit is tight relative to the radius and the radius is not trivial."""
     return fit.residual < tol_disc * max(1.0, fit.radius) and fit.radius > 1e-6
 
@@ -249,9 +250,9 @@ def _dedupe(cands) -> list[tuple[float, float]]:
     return out
 
 
-def _check_tol(tol: float) -> None:
+def _check_tol(tol: float, name: str = "tol") -> None:
     if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+        raise ValueError(f"{name} must be finite and positive, got {tol}")
 
 
 def detect_flat(a, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
@@ -538,7 +539,7 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> list:
     # as Python complex: _lex_key's round is several times cheaper on Python floats
     eigs = sorted(np.linalg.eigvals(m).tolist(), key=lambda z: (_lex_key(z), z.real, z.imag))
     thetas, lams = _sweep(m)
-    cur = _fit_sweep(thetas, lams)
+    cur = _fit_sweep(lams)
     point_ok, pair_ok = _screen(eigs, thetas, lams, cur, tol)
 
     # one pass: z + L_a that does not divide p cannot divide p / (z + L_b)

@@ -39,10 +39,10 @@ from .harness import (
     run_campaign,
     s5_identity_check,
 )
-from .kippenhahn import boundary_polyline, kipp_poly_det, kipp_poly_expanded
+from .kippenhahn import curve_points, kipp_poly_det, kipp_poly_expanded
 from .linalg import DEFAULT_TOL
 from .homopoly import max_abs_coeff, max_coeff_diff
-from .svgplot import render_svg
+from .svgplot import _draw, render_svg
 
 EXIT_VIOLATION = 1
 EXIT_DOMAIN = 3
@@ -156,20 +156,19 @@ def classify(matrix, tol, samples, shape, svg_path, out):
 def boundary(matrix, samples, out, svg_path):
     """Numerical range boundary of MATRIX as re,im CSV lines."""
     m = formats.load_matrix(matrix)
-    pts = boundary_polyline(m, samples=samples)
-    lines = [f"{formats.f17(p.real)},{formats.f17(p.imag)}" for p in pts]
-    text = "\n".join(lines) + "\n"
+    pts = curve_points(m, samples)  # the CSV is its top column, the SVG draws all of it
+    text = "".join(f"{formats.f17(p.real)},{formats.f17(p.imag)}\n" for p in pts[:, -1])
     if out is None:
         click.echo(text, nl=False)
     else:
         Path(out).write_text(text)
     if svg_path is not None:
-        Path(svg_path).write_text(render_svg(m, samples=samples))
+        Path(svg_path).write_text(_draw(m, pts))
 
 
 def _emit_matrix(m: np.ndarray, out: str | None, params: dict) -> None:
     if out is None:
-        click.echo(json.dumps(formats.matrix_to_json(m), sort_keys=True, indent=2))
+        _write_json(formats.matrix_to_json(m), None)
     else:
         formats.dump_matrix(m, out)
     click.echo(json.dumps({"params": params}, sort_keys=True), err=True)
@@ -272,12 +271,14 @@ def gen_jordan(n, out):
 @main.command()
 @click.option("--trials", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--ker-dims", default="1,2,3", show_default=True, help="comma-separated kernel dimensions to draw from")
-@click.option("--structured/--no-structured", default=True, show_default=True, help="interleave the fixed witness matrices")
-@click.option("--tol-disc", default=1e-8, show_default=True)
-@click.option("--tol-center", default=1e-7, show_default=True)
-@click.option("--samples", default=64, type=click.IntRange(min=16), show_default=True)
-@click.option("--classify/--no-classify", "do_classify", default=True, show_default=True)
+@click.option("--ker-dims", default=",".join(map(str, CampaignConfig.ker_dims)), show_default=True,
+              help="comma-separated kernel dimensions to draw from")
+@click.option("--structured/--no-structured", default=CampaignConfig.include_structured, show_default=True,
+              help="interleave the fixed witness matrices")
+@click.option("--tol-disc", default=CampaignConfig.tol_disc, show_default=True)
+@click.option("--tol-center", default=CampaignConfig.tol_center, show_default=True)
+@click.option("--samples", default=CampaignConfig.samples, type=click.IntRange(min=16), show_default=True)
+@click.option("--classify/--no-classify", "do_classify", default=CampaignConfig.classify, show_default=True)
 @click.option("--runs-dir", type=click.Path(file_okay=False), default=None, help="defaults to $KIPP_RUNS_DIR or ./runs")
 @_guard
 def campaign(trials, seed, ker_dims, structured, tol_disc, tol_center, samples, do_classify, runs_dir):
@@ -311,7 +312,7 @@ def campaign(trials, seed, ker_dims, structured, tol_disc, tol_center, samples, 
         "flatAnomalies": list(summary.flat_anomalies),
         "passed": summary.passed,
     }
-    click.echo(json.dumps(payload, sort_keys=True, indent=2))
+    _write_json(payload, None)
     if not summary.passed:
         sys.exit(EXIT_VIOLATION)
 
@@ -356,7 +357,7 @@ def identities(count, seed):
             "passed": k2.passed,
         },
     }
-    click.echo(json.dumps(payload, sort_keys=True, indent=2))
+    _write_json(payload, None)
     if not (oracle.passed and oracle_big.passed and s5.passed and k2.passed):
         sys.exit(EXIT_VIOLATION)
 

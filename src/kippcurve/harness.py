@@ -23,6 +23,8 @@ import numpy as np
 import scipy.linalg
 
 from .classify import (
+    DISC_TOL,
+    _check_tol,
     classify_curve,
     detect_flat,
     disc_verdict,
@@ -280,7 +282,7 @@ class CampaignConfig:
     seed: int
     ker_dims: tuple = (1, 2, 3)
     include_structured: bool = True
-    tol_disc: float = 1e-8
+    tol_disc: float = DISC_TOL
     tol_center: float = 1e-7
     samples: int = 64
     classify: bool = True
@@ -357,14 +359,16 @@ def conjecture_campaign(config: CampaignConfig) -> tuple[list, CampaignSummary]:
     none, structured circular fixtures are all detected circular, and
     no flat candidate shows up on the contraction-family fixtures.
     Tolerances that are not finite and positive would decide nothing
-    and are rejected, as `fit_disc` rejects fewer than 16 support samples.
+    and are rejected, as `fit_disc` rejects fewer than 16 support samples;
+    so are kernel dimensions that no trial could draw, all before the
+    first trial.
     """
     if config.n_trials <= 0:
         raise ValueError("n_trials must be positive")
-    for name in ("tol_disc", "tol_center"):
-        tol = getattr(config, name)
-        if not 0.0 < tol < np.inf:
-            raise ValueError(f"{name} must be finite and positive, got {tol}")
+    _check_tol(config.tol_disc, "tol_disc")
+    _check_tol(config.tol_center, "tol_center")
+    if not config.ker_dims or not all(d in range(6) for d in config.ker_dims):
+        raise ValueError(f"ker_dims must be a non-empty choice from 0..5, got {config.ker_dims}")
     children = np.random.SeedSequence(config.seed).spawn(config.n_trials)
     records: list[TrialRecord] = []
     for idx in range(config.n_trials):
@@ -428,9 +432,13 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
+def _to_json(obj, indent=None) -> str:
+    """A dataclass as JSON with sorted keys and complex numbers as [re, im]."""
+    return json.dumps(dataclasses.asdict(obj), sort_keys=True, indent=indent, default=_json_default)
+
+
 def campaign_id(config: CampaignConfig) -> str:
-    blob = json.dumps(dataclasses.asdict(config), sort_keys=True, default=_json_default)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return hashlib.sha256(_to_json(config).encode()).hexdigest()[:12]
 
 
 def runs_root(explicit=None) -> Path:
@@ -448,11 +456,8 @@ def run_campaign(config: CampaignConfig, root=None):
     records, summary = conjecture_campaign(config)
     rdir = runs_root(root) / campaign_id(config)
     rdir.mkdir(parents=True, exist_ok=True)
-    cfg = json.dumps(dataclasses.asdict(config), sort_keys=True, indent=2, default=_json_default)
-    (rdir / "config.json").write_text(cfg + "\n")
+    (rdir / "config.json").write_text(_to_json(config, indent=2) + "\n")
     with open(rdir / "records.jsonl", "w") as fh:
-        for r in records:
-            fh.write(json.dumps(dataclasses.asdict(r), sort_keys=True, default=_json_default) + "\n")
-    summ = json.dumps(dataclasses.asdict(summary), sort_keys=True, indent=2, default=_json_default)
-    (rdir / "summary.json").write_text(summ + "\n")
+        fh.writelines(_to_json(r) + "\n" for r in records)
+    (rdir / "summary.json").write_text(_to_json(summary, indent=2) + "\n")
     return rdir, records, summary

@@ -9,10 +9,10 @@ curve of p_A = 0 generates the numerical range: W(A) is the convex hull
 of the curve's real affine points.  Two independent routes to p_A live
 here.  `kipp_poly_det` diagonalizes the pencil cos(t) H + sin(t) K at
 2n + 2 angles (`_sweep`), expands prod_j (z + lam_j(t)) and fits each
-z-layer by least squares through a projection cached per size
-(`_fit_sweep`); it works for any square A up to degree 12, and
-`classify` reuses the sweep's eigenvalues to screen factor candidates.
-`kipp_poly_expanded`
+z-layer by least squares through a projection cached per degree
+(`_fit_sweep`, which reads the angles off the degree as `_sweep` does);
+it works for any square A up to degree 12, and `classify` reuses the
+sweep's eigenvalues to screen factor candidates.  `kipp_poly_expanded`
 is the Leibniz sum of the determinant over the 120 permutations, special
 to 5x5 upper-triangular input and free of eigensolves, so each route
 serves as an oracle for the other.
@@ -51,8 +51,13 @@ def _pencil(h: np.ndarray, k: np.ndarray, thetas) -> np.ndarray:
     return np.cos(th) * h + np.sin(th) * k
 
 
+def _sweep_angles(n: int) -> np.ndarray:
+    """The 2n + 2 equispaced angles over [0, 2 pi) at which degree n is swept."""
+    return np.linspace(0.0, 2.0 * np.pi, 2 * n + 2, endpoint=False)
+
+
 def _sweep(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(thetas, lams): the pencil's eigenvalues at 2n + 2 equispaced angles.
+    """(thetas, lams): the pencil's eigenvalues at the `_sweep_angles` of its degree.
 
     lams[t] holds the ascending eigenvalues of cos(thetas[t]) H + sin(thetas[t]) K.
     Raises BadDims above MAX_DEGREE.
@@ -60,26 +65,26 @@ def _sweep(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = m.shape[0]
     if n > MAX_DEGREE:
         raise BadDims(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
-    thetas = np.linspace(0.0, 2.0 * np.pi, 2 * n + 2, endpoint=False)
+    thetas = _sweep_angles(n)
     return thetas, np.linalg.eigvalsh(_pencil(*hermitian_parts(m), thetas))
 
 
 @cache
-def _layer_projections(n_angles: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _layer_projections(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (design, pinv(design)) of the z-layers of degree 1..n, stacked.
 
-    design[m - 1] has the columns cos^(m-j) sin^j, j = 0..m, at n_angles
-    equispaced angles, padded with zero columns to n + 1, and pinv[m - 1]
-    is its pseudo-inverse padded with zero rows.  They depend on nothing but
-    the sizes, so every sweep of the same size shares one least-squares
-    projection.
+    design[m - 1] has the columns cos^(m-j) sin^j, j = 0..m, at the
+    `_sweep_angles` of degree n, padded with zero columns to n + 1, and
+    pinv[m - 1] is its pseudo-inverse padded with zero rows.  They depend
+    on nothing but n, so every sweep of the same degree shares one
+    least-squares projection.
     """
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    thetas = _sweep_angles(n)
     powers = np.arange(n + 1)
     cos_pow = np.cos(thetas)[:, None] ** powers
     sin_pow = np.sin(thetas)[:, None] ** powers
-    design = np.zeros((n, n_angles, n + 1))
-    pinv = np.zeros((n, n + 1, n_angles))
+    design = np.zeros((n, thetas.size, n + 1))
+    pinv = np.zeros((n, n + 1, thetas.size))
     for deg in range(1, n + 1):
         design[deg - 1, :, : deg + 1] = cos_pow[:, deg::-1] * sin_pow[:, : deg + 1]
         pinv[deg - 1, : deg + 1] = np.linalg.pinv(design[deg - 1, :, : deg + 1])
@@ -88,22 +93,21 @@ def _layer_projections(n_angles: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return design, pinv
 
 
-def _fit_sweep(thetas: np.ndarray, lams: np.ndarray) -> HomoPoly3:
+def _fit_sweep(lams: np.ndarray) -> HomoPoly3:
     """The polynomial whose z-layers fit the elementary symmetric functions of lams.
 
-    thetas must be the equispaced grid of `_sweep`, which fixes the cached
-    projections.  Raises IllConditionedInterpolation when a layer's fit
-    residual exceeds 1e-8 relative to rho^m, rho the largest eigenvalue
-    modulus of the sweep.
+    lams holds the eigenvalues of a `_sweep`, one row per angle.  Raises
+    IllConditionedInterpolation when a layer's fit residual exceeds 1e-8
+    relative to rho^m, rho the largest eigenvalue modulus of the sweep.
     """
     n = lams.shape[1]
     # elementary symmetric functions e_0..e_n at every angle: expand prod (z + lam_j)
-    esym = np.zeros((thetas.size, n + 1))
+    esym = np.zeros((lams.shape[0], n + 1))
     esym[:, 0] = 1.0
     for lam in lams.T:
         esym[:, 1:] = esym[:, 1:] + lam[:, None] * esym[:, :-1]
 
-    design, pinv = _layer_projections(thetas.size, n)
+    design, pinv = _layer_projections(n)
     layers = esym[:, 1:].T[:, :, None]  # layers[m - 1] = e_m over the angles
     coef = pinv @ layers
     resid = np.max(np.abs(design @ coef - layers), axis=(1, 2))
@@ -132,7 +136,7 @@ def kipp_poly_det(a) -> HomoPoly3:
     IllConditionedInterpolation when a layer's fit residual exceeds 1e-8
     relative to rho^m, rho the largest eigenvalue modulus of the sweep.
     """
-    return _fit_sweep(*_sweep(as_matrix(a)))
+    return _fit_sweep(_sweep(as_matrix(a))[1])
 
 
 # --- closed-form route for 5x5 upper-triangular matrices ---

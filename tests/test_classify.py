@@ -318,19 +318,6 @@ FLAT_DROP_COUNTS = {
 }
 
 
-def count_eigensolves(monkeypatch):
-    """Stack sizes of the np.linalg.eigh and eigvalsh calls made from now on, by name."""
-    calls = {"eigh": [], "eigvalsh": []}
-    for name, solve in [(name, getattr(np.linalg, name)) for name in calls]:
-
-        def counted(m, *args, _name=name, _solve=solve, **kwargs):
-            calls[_name].append(1 if np.ndim(m) == 2 else len(m))
-            return _solve(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 def gradient(p):
     """Exact partial derivatives (d/dx, d/dy, d/dz) of p from its coefficient array."""
     c, d = p.c, p.degree
@@ -383,10 +370,10 @@ class TestDetectFlat:
             assert min(max(abs(t - theta), abs(m - mu)) for t, m in found) < 1e-12
 
     @pytest.mark.parametrize("scalar", [0.3, 0.0])
-    def test_scalar_matrix_gives_every_grid_direction(self, monkeypatch, scalar):
+    def test_scalar_matrix_gives_every_grid_direction(self, count_eigensolves, scalar):
         # every gap of a scalar matrix's pencil is 0 at every angle: each of
         # the 4 x 256 grid points brackets a collision, all at once
-        calls = count_eigensolves(monkeypatch)
+        calls = count_eigensolves
         found = detect_flat(scalar * np.eye(5))
         thetas = np.linspace(0.0, np.pi, 256, endpoint=False)
         assert np.allclose(found, np.stack([thetas, -scalar * np.cos(thetas)], axis=1), rtol=0.0, atol=1e-12)
@@ -420,12 +407,12 @@ class TestFlatDrop:
     def test_pinned_direction_counts(self, tol):
         assert [len(detect_flat(a, tol)) for a in flat_drop_inputs()] == FLAT_DROP_COUNTS[tol]
 
-    def test_few_eigensolves_per_bracket(self, monkeypatch):
+    def test_few_eigensolves_per_bracket(self, count_eigensolves):
         # Newton's method lands on a true crossing in a few steps; brackets
         # refine in lockstep, one stacked eigh per step for all that are left
         mats = [scipy.linalg.block_diag(FLAT_TOP, c) for c in criterion4_blocks()]
         mats += [planted_flat_matrix(*p)[0] for p in PLANTED_MISSES.values()]
-        calls = count_eigensolves(monkeypatch)
+        calls = count_eigensolves
         for a in mats:
             calls["eigh"].clear()
             assert detect_flat(a)

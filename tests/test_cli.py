@@ -12,7 +12,9 @@ from kippcurve import formats
 from kippcurve.cli import main
 from kippcurve.generators import jordan_shift, two_ellipse_block
 from kippcurve.homopoly import HomoPoly3, max_coeff_diff
-from kippcurve.kippenhahn import kipp_poly_det
+from kippcurve.harness import CampaignConfig, campaign_id
+from kippcurve.kippenhahn import boundary_polyline, kipp_poly_det
+from kippcurve.svgplot import render_svg
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -129,6 +131,16 @@ def test_boundary_svg(runner, j5_file, tmp_path):
     assert len(path.split(" L ")) == 16
 
 
+def test_boundary_csv_and_svg_from_one_sweep(runner, j5_file, tmp_path, count_eigensolves):
+    target = tmp_path / "boundary.svg"
+    res = runner.invoke(main, ["boundary", j5_file, "--samples", "16", "--svg", str(target)])
+    assert res.exit_code == 0
+    assert count_eigensolves["eigh"] == [16]
+    pts = boundary_polyline(jordan_shift(5), 16)
+    assert res.output == "".join(f"{formats.f17(p.real)},{formats.f17(p.imag)}\n" for p in pts)
+    assert target.read_text() == render_svg(jordan_shift(5), samples=16)
+
+
 def test_malformed_matrix_file(runner, tmp_path):
     # exit code 1 means "violations found", so bad input must never end there
     path = tmp_path / "bad.json"
@@ -241,6 +253,10 @@ class TestCampaignCommand:
         assert doc["passed"] is True
         assert doc["trials"] == 10
         assert Path(doc["runDir"]).joinpath("records.jsonl").is_file()
+        # the options default to the library's config
+        res = runner.invoke(main, ["campaign", "--trials", "3", "--seed", "1", "--runs-dir", str(tmp_path)])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["runDir"] == str(tmp_path / campaign_id(CampaignConfig(n_trials=3, seed=1)))
 
     def test_zero_trials_usage_error(self, runner):
         res = runner.invoke(main, ["campaign", "--trials", "0"])

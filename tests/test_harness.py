@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from kippcurve import harness
+from kippcurve.classify import fit_disc
 from kippcurve.harness import (
     CampaignConfig,
     campaign_id,
@@ -104,6 +106,14 @@ class TestCampaign:
         # any support function exactly, so every trial would read circular
         with pytest.raises(ValueError):
             conjecture_campaign(CampaignConfig(n_trials=30, seed=0, **bad))
+
+    @pytest.mark.parametrize("ker_dims", [(), (9,), (-1,)])
+    def test_undrawable_ker_dims_rejected_before_any_trial(self, monkeypatch, ker_dims):
+        fits = []
+        monkeypatch.setattr(harness, "fit_disc", lambda *args: fits.append(args) or fit_disc(*args))
+        with pytest.raises(ValueError, match="ker_dims"):
+            conjecture_campaign(CampaignConfig(n_trials=3, seed=0, ker_dims=ker_dims))
+        assert fits == []
 
     def test_deterministic_records(self):
         cfg = CampaignConfig(n_trials=15, seed=201)

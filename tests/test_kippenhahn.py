@@ -127,7 +127,7 @@ def test_cached_projection_matches_lstsq(n):
 
 def test_cached_projections_read_only():
     kipp_poly_det(jordan_shift(5))
-    for arr in _layer_projections(12, 5):
+    for arr in _layer_projections(5):
         with pytest.raises(ValueError):
             arr[0, 0, 0] = 1.0
 
@@ -138,7 +138,7 @@ def test_fit_rejects_eigenvalues_of_no_pencil():
     thetas, _ = _sweep(jordan_shift(5))
     lams = np.sort(np.random.default_rng(13).normal(size=(thetas.size, 5)), axis=1)
     with pytest.raises(IllConditionedInterpolation):
-        _fit_sweep(thetas, lams)
+        _fit_sweep(lams)
 
 
 def test_direct_sum_oracle_degree_10():
