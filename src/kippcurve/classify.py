@@ -45,6 +45,11 @@ _NEWTON_ITERS = 12  # cap on the safeguarded Newton steps per bracket
 DISC_TOL = 1e-8  # support residual, relative to max(1, radius), below which a range reads circular
 
 
+def _check_tol(tol: float, name: str = "tol") -> None:
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {tol}")
+
+
 # --- circular support fit ---
 
 
@@ -112,8 +117,9 @@ def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
     candidates that divide exactly, the largest t wins (outermost
     component first).  Raises NegativeMinorAxisSquared when the best t
     is decisively negative.  Returns (r, quotient, residual) with the
-    residual relative to p.
+    residual relative to p.  tol must be finite and positive.
     """
+    _check_tol(tol)
     li, lj = complex(li), complex(lj)
     if not 2 <= p.degree <= 5:
         raise ValueError("need degree 2..5 to remove a conic factor")
@@ -169,13 +175,20 @@ def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
 # --- flat-direction detection ---
 
 
-def _weyl_rate(h: np.ndarray, k: np.ndarray) -> float:
-    # bound on |d gap_j / d theta|: each eigenvalue moves at most ||H|| + ||K|| per radian
-    return 2.0 * (np.linalg.norm(h, 2) + np.linalg.norm(k, 2))
+def _weyl_rate(lams: np.ndarray) -> float:
+    """Bound on |d gap_j / d theta| from lams, the scan's eigenvalues at _FLAT_GRID angles over [0, pi).
+
+    d/dtheta P(theta) = P(theta + pi/2), so by Weyl's inequality each
+    eigenvalue moves at most w(A), the numerical radius, per radian.  The
+    top eigenvalue at theta is at least w(A) cos(theta - arg z), |z| = w(A)
+    in W(A), so at a scan angle or its opposite (same largest |lam|) it is
+    at least w(A) cos(pi / (2 _FLAT_GRID)).
+    """
+    return 2.0 * float(np.max(np.abs(lams))) / np.cos(np.pi / (2 * _FLAT_GRID))
 
 
-def _newton_min(h, k, x: np.ndarray, step: float, j: np.ndarray, rate: float, slack: float):
-    """Minimizers of gap j of the pencil on [x - step, x + step], by safeguarded Newton in lockstep.
+def _newton_min(h, k, x: np.ndarray, step: float, j: np.ndarray, rate: float, slack: float, tol: float):
+    """Collisions of gap j of the pencil on [x - step, x + step], by safeguarded Newton in lockstep.
 
     Each step diagonalizes the pencil at every live iterate x with one
     stacked eigh, for the gap g = lam_{j+1} - lam_j and, by Hellmann-Feynman,
@@ -185,44 +198,45 @@ def _newton_min(h, k, x: np.ndarray, step: float, j: np.ndarray, rate: float, sl
     that leaves (a, b).  At a true crossing g is V-shaped, and one step
     from either side lands on the apex to second order.  A bracket stops
     when g is 0 to working precision (4 ulps of the largest |lam|), at a
-    step of a few ulps, or after _NEWTON_ITERS steps, and yields its best
-    probe.  It is dropped at a probe where g exceeds rate (b - a) + slack
-    while no probe so far came within slack: g moves at most rate per
-    radian, so no later probe in [a, b] can come within slack either.
-    Returns (minimizers, kept), kept the positions in x of the brackets
-    not dropped.
+    step of a few ulps, or after _NEWTON_ITERS steps, and is accepted when
+    g at its best probe, the least, is at most tol scale, scale =
+    max(1, largest |lam|) there.  It is dropped at a probe where g exceeds
+    rate (b - a) + slack while no probe so far came within slack (at least
+    tol scale): g moves at most rate per radian, so no later probe in
+    [a, b] can come within slack either.  Returns the rows (theta, mu) of
+    the accepted best probes in the order of x, mu = -(lam_j + lam_{j+1}) / 2.
     """
     a, b, idx = x - step, x + step, np.arange(len(x))
     jj = np.stack([j, j + 1], axis=1)
-    best_x, best_g = x, np.full(len(x), np.inf)
-    res = np.full(len(x), np.nan)  # stays nan for a dropped bracket
-    for _ in range(_NEWTON_ITERS):
+    best = np.full((4, len(x)), np.inf)  # g, scale, x, mu at each live bracket's best probe
+    found = np.full((2, len(x)), np.nan)  # stays nan unless the bracket is accepted
+    for it in range(_NEWTON_ITERS):
         if not len(idx):
             break
         lams, vecs = np.linalg.eigh(_pencil(h, k, x))
         rows = np.arange(len(x))[:, None]
         pair = lams[rows, jj]
         g = pair[:, 1] - pair[:, 0]
+        big = np.maximum(-lams[:, 0], lams[:, -1])  # largest |lam|
         u = vecs[rows, :, jj]  # u[m, c] is the eigenvector of lam_{jj[m, c]}
         d = np.cos(x)[:, None, None] * k - np.sin(x)[:, None, None] * h
         du = np.einsum("mci,mij,mcj->mc", u.conj(), d, u).real
         slope = du[:, 1] - du[:, 0]
-        better = g < best_g
-        best_x, best_g = np.where(better, x, best_x), np.where(better, g, best_g)
+        probe = np.stack([g, np.maximum(1.0, big), x, -(pair[:, 0] + pair[:, 1]) / 2.0])
+        best = np.where(g < best[0], probe, best)
         a, b = np.where(slope < 0.0, x, a), np.where(slope > 0.0, x, b)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x - g / slope
         nxt = np.where((a < newton) & (newton < b), newton, (a + b) / 2.0)
         step_len = np.minimum(np.abs(newton - x), np.abs(nxt - x))
-        drop = (g > rate * (b - a) + slack) & (best_g > slack)
-        zero = g <= 4.0 * np.finfo(float).eps * np.maximum(-lams[:, 0], lams[:, -1])
-        stop = ~drop & (zero | (step_len <= 4.0 * np.spacing(np.pi)))
-        res[idx[stop]] = best_x[stop]
+        drop = (g > rate * (b - a) + slack) & (best[0] > slack)
+        zero = g <= 4.0 * np.finfo(float).eps * big
+        stop = ~drop & (zero | (step_len <= 4.0 * np.spacing(np.pi)) | (it == _NEWTON_ITERS - 1))
+        accept = stop & (best[0] <= tol * best[1])
+        found[:, idx[accept]] = best[2:, accept]
         live = ~(drop | stop)
-        a, b, x, jj, idx, best_x, best_g = (v[live] for v in (a, b, nxt, jj, idx, best_x, best_g))
-    res[idx] = best_x
-    kept = np.flatnonzero(~np.isnan(res))
-    return res[kept], kept
+        a, b, x, jj, idx, best = a[live], b[live], nxt[live], jj[live], idx[live], best[:, live]
+    return found[:, ~np.isnan(found[0])]
 
 
 def _dedupe(cands) -> list[tuple[float, float]]:
@@ -250,60 +264,45 @@ def _dedupe(cands) -> list[tuple[float, float]]:
     return out
 
 
-def _check_tol(tol: float, name: str = "tol") -> None:
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"{name} must be finite and positive, got {tol}")
-
-
 def detect_flat(a, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
     """Directions theta in [0, pi) where two pencil eigenvalues collide.
 
     Each adjacent gap lam_{j+1} - lam_j of cos(theta) H + sin(theta) K is
-    scanned on one grid of _FLAT_GRID angles over [0, pi), and every grid
-    local minimum of every gap gets its own bracket of one grid step on
-    each side, refined on that gap alone by `_newton_min`, at most
-    _NEWTON_ITERS safeguarded Newton steps from the grid point.  (The pencil
-    at theta + pi is minus the one at theta, so gap j continues past pi as
-    gap n - 2 - j.)  A collision of gap j within tol scale of zero, scale =
-    max(1, largest |lam|), is returned as (theta, mu) with mu = minus the
-    mean of lam_j and lam_{j+1}; these are the candidate flat-portion
-    parameters.  Usually empty.  tol must be finite and positive.
+    scanned by one eigvalsh stack at _FLAT_GRID angles over [0, pi), and
+    every grid local minimum of every gap gets its own bracket of one grid
+    step on each side, refined on that gap alone by `_newton_min`.  (The
+    pencil at theta + pi is minus the one at theta, so gap j continues past
+    pi as gap n - 2 - j, and a probe past 0 or pi comes back by pi with mu
+    negated.)  A bracket whose best probe is within tol scale of a
+    collision, scale = max(1, largest |lam|), gives (theta, mu) there, mu =
+    minus the mean of lam_j and lam_{j+1}: candidate flat-portion
+    parameters, usually none.  tol must be finite and positive.
 
-    Most brackets are dropped unrefined.  By Weyl's inequality every
-    eigenvalue moves at most ||H|| + ||K|| per radian, so gap j moves at
-    most L = 2 (||H|| + ||K||).  With slack = tol max(1, ||H|| + ||K||),
-    which is at least tol scale, a bracket is dropped when its grid gap
-    exceeds L pi / _FLAT_GRID + slack, or at any Newton step whose probe
-    exceeds L (b - a) + slack while no earlier probe came within slack:
-    the gap then exceeds slack on what is left of the bracket, so the
-    bracket could not end in an accepted collision.  A bracket's steps do
-    not depend on the others', so the drops change no result.  A collision
-    within 1e-6 of an earlier one in both theta (mod pi) and mu is dropped.
+    Most brackets are dropped unrefined: gap j moves at most
+    L = `_weyl_rate` of the scan per radian, so with slack =
+    tol max(1, L / 2), at least tol scale, a bracket whose grid gap exceeds
+    L pi / _FLAT_GRID + slack could not be accepted, and no drop changes a
+    result.  A collision within 1e-6 of an earlier one in both theta
+    (mod pi) and mu is dropped.  A crossing at the edge of a gap that is
+    exactly 0 over a run of grid angles, as with a repeated eigenvalue of a
+    normal block, is not returned: its bracket starts on the run at g = 0
+    and stops there.
     """
     _check_tol(tol)
     h, k = hermitian_parts(a)
-    n = h.shape[0]
     thetas = np.linspace(0.0, np.pi, _FLAT_GRID, endpoint=False)
-    gaps = np.diff(np.linalg.eigvalsh(_pencil(h, k, thetas)), axis=-1)
+    lams = np.linalg.eigvalsh(_pencil(h, k, thetas))
+    gaps = np.diff(lams, axis=-1)
     before = np.concatenate([gaps[-1:, ::-1], gaps[:-1]])
     after = np.concatenate([gaps[1:], gaps[:1, ::-1]])
     step = np.pi / _FLAT_GRID
-    rate = _weyl_rate(h, k)
+    rate = _weyl_rate(lams)
     slack = tol * max(1.0, rate / 2.0)
     rows, js = np.nonzero((gaps <= before) & (gaps <= after) & (gaps <= rate * step + slack))
-    th_raw, kept = _newton_min(h, k, thetas[rows], step, js, rate, slack)
-    th_stars = np.mod(th_raw, np.pi)
-    # past either end of [0, pi) gap j is gap n - 2 - j
-    js = np.where(th_stars == th_raw, js[kept], n - 2 - js[kept])
-
-    cands = []
-    for th_star, j, vals in zip(th_stars, js, np.linalg.eigvalsh(_pencil(h, k, th_stars))):
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if vals[j + 1] - vals[j] <= tol * scale:
-            cands.append((float(th_star), -float(vals[j] + vals[j + 1]) / 2.0))
-    out = _dedupe(cands)
-    out.sort()
-    return out
+    th_raw, mu_raw = _newton_min(h, k, thetas[rows], step, js, rate, slack, tol)
+    th = np.mod(th_raw, np.pi)
+    mu = np.where(th == th_raw, mu_raw, -mu_raw)  # the pencil at theta -+ pi is minus the one at theta
+    return sorted(_dedupe(zip(th.tolist(), mu.tolist())))
 
 
 # --- factorization condition reports ---

@@ -30,8 +30,8 @@ from kippcurve.generators import (
 )
 from kippcurve.generators import random_partial_isometry
 from kippcurve.homopoly import HomoPoly3, divide, linear, mul
-from kippcurve.kippenhahn import kipp_poly_det, kipp_poly_expanded
-from kippcurve.linalg import schur_triangularize
+from kippcurve.kippenhahn import _pencil, kipp_poly_det, kipp_poly_expanded
+from kippcurve.linalg import hermitian_parts, schur_triangularize
 
 
 def lin(lam):
@@ -225,6 +225,13 @@ class TestFitEllipseFactor:
         with pytest.raises(ValueError):
             fit_ellipse_factor(p, 0.5, -0.5)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_meaningless_tol_rejected(self, tol):
+        l1, l2 = 0.3 + 0.1j, -0.2 - 0.4j
+        p = kipp_poly_det(two_ellipse_block(l1, l2, 0.1, -0.3, 0.0, 0.8, 0.4))
+        with pytest.raises(ValueError, match="tol"):
+            fit_ellipse_factor(p, l1, l2, tol)
+
     def test_negative_axis_square_raises(self):
         # plant a "conic" factor with t = -1: legitimate polynomial, not an ellipse
         l1, l2 = 0.4, -0.4
@@ -377,10 +384,10 @@ class TestDetectFlat:
         found = detect_flat(scalar * np.eye(5))
         thetas = np.linspace(0.0, np.pi, 256, endpoint=False)
         assert np.allclose(found, np.stack([thetas, -scalar * np.cos(thetas)], axis=1), rtol=0.0, atol=1e-12)
-        # one eigh for all brackets, which stop at g = 0; eigvalsh for the
-        # grid scan and the acceptance test
+        # one eigh for all brackets, which stop and are accepted at g = 0;
+        # eigvalsh for the grid scan alone
         assert calls["eigh"] == [4 * 256]
-        assert calls["eigvalsh"] == [256, 4 * 256]
+        assert calls["eigvalsh"] == [256]
 
     @pytest.mark.parametrize("item", sorted(PLANTED_MISSES))
     def test_collision_beside_a_smaller_gap(self, item):
@@ -392,13 +399,23 @@ class TestDetectFlat:
         assert min(max(abs(t - theta), abs(m - mu)) for t, m in found) < 1e-6
         assert "flat_quartic" in [c.kind for c in classify_curve(a, tol=1e-7)]
 
+    @pytest.mark.parametrize("theta", [1e-7, 1e-4, np.pi - 1e-4, np.pi - 1e-7])
+    @pytest.mark.parametrize("top", [False, True])
+    def test_directions_across_the_wrap(self, theta, top):
+        # near pi the direction kept comes from the bracket at grid angle 0,
+        # whose iterate goes below 0: mapped back by pi, mu changes sign
+        a = flat_3x3(0.2 + 0.1j, -0.15j, 0.1 - 0.05j, theta, 0.5)
+        found = detect_flat(scipy.linalg.block_diag(FLAT_TOP, a) if top else a)
+        off = [(abs(t - theta) % np.pi, abs(m - 0.5)) for t, m in found]
+        assert min(max(min(dt, np.pi - dt), dm) for dt, dm in off) < 1e-12
+
 
 class TestFlatDrop:
     def test_drops_change_nothing(self, monkeypatch):
         # with an infinite Weyl rate no bracket is ever dropped
         inputs = flat_drop_inputs()
         pruned = [detect_flat(a) for a in inputs]
-        monkeypatch.setattr(classify_mod, "_weyl_rate", lambda h, k: np.inf)
+        monkeypatch.setattr(classify_mod, "_weyl_rate", lambda lams: np.inf)
         reference = [detect_flat(a) for a in inputs]
         assert [repr(f) for f in pruned] == [repr(f) for f in reference]
         assert sum(map(len, pruned)) > 100
@@ -409,14 +426,32 @@ class TestFlatDrop:
 
     def test_few_eigensolves_per_bracket(self, count_eigensolves):
         # Newton's method lands on a true crossing in a few steps; brackets
-        # refine in lockstep, one stacked eigh per step for all that are left
+        # refine in lockstep, one stacked eigh per step for all that are left,
+        # and are accepted at their probes, so the grid scan is the only eigvalsh
         mats = [scipy.linalg.block_diag(FLAT_TOP, c) for c in criterion4_blocks()]
         mats += [planted_flat_matrix(*p)[0] for p in PLANTED_MISSES.values()]
         calls = count_eigensolves
         for a in mats:
             calls["eigh"].clear()
+            calls["eigvalsh"].clear()
             assert detect_flat(a)
             assert 1 <= len(calls["eigh"]) <= 6
+            assert calls["eigvalsh"] == [256]
+
+    def test_weyl_rate_from_the_scan_is_sound(self):
+        # w(A) <= L / 2 <= (||H|| + ||K||) / cos(pi / 512), w(A) the numerical
+        # radius on a 2^15-angle grid (opposite angles share the largest |lam|);
+        # the real diagonal meets the upper bound exactly, up to roundoff
+        rng = np.random.default_rng(2108)
+        mats = [(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / 2.0 for n in range(2, 13)]
+        mats += [jordan_shift(5), np.diag([0.7, -1.3, 0.2, 1.1]), flat_drop_inputs()[-1]]
+        for a in mats:
+            h, k = hermitian_parts(a)
+            scan = np.linalg.eigvalsh(_pencil(h, k, np.linspace(0.0, np.pi, 256, endpoint=False)))
+            fine = np.linalg.eigvalsh(_pencil(h, k, np.linspace(0.0, np.pi, 2**14, endpoint=False)))
+            half = classify_mod._weyl_rate(scan) / 2.0
+            assert half >= np.max(np.abs(fine))
+            assert half <= (np.linalg.norm(h, 2) + np.linalg.norm(k, 2)) / np.cos(np.pi / 512) * (1.0 + 1e-14)
 
     def test_dedupe_matches_pairwise_scan(self):
         # candidates clustered around the wrap at pi and around cell edges

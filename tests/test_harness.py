@@ -1,5 +1,6 @@
 """Tests for the identity suites and the circularity search campaign."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -132,6 +133,15 @@ class TestCampaign:
             if r.circular:
                 assert r.center_modulus < cfg.tol_center
         assert summary.max_center_modulus_circular < cfg.tol_center
+
+    def test_no_classify_leaves_only_components_empty(self):
+        on = CampaignConfig(n_trials=30, seed=5)
+        off = CampaignConfig(n_trials=30, seed=5, classify=False)
+        rec_on, sum_on = conjecture_campaign(on)
+        rec_off, sum_off = conjecture_campaign(off)
+        assert rec_off == [dataclasses.replace(r, components="") for r in rec_on]
+        assert sum_off == sum_on
+        assert campaign_id(off) != campaign_id(on)
 
     def test_unstructured_only(self):
         cfg = CampaignConfig(n_trials=30, seed=203, include_structured=False)
