@@ -82,6 +82,7 @@ def fit_disc(a, samples: int = 64) -> DiscFit:
 
 def disc_verdict(fit: DiscFit, tol_disc: float = DISC_TOL) -> bool:
     """Circular iff the fit is tight relative to the radius and the radius is not trivial."""
+    _check_tol(tol_disc, "tol_disc")
     return fit.residual < tol_disc * max(1.0, fit.radius) and fit.radius > 1e-6
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a check or campaign reported violations,
 2 usage errors (click), 3 domain failures (bad matrix file, wrong
-dimensions, parameters outside their disc, ill conditioned fits).
+dimensions, parameters outside their disc, ill conditioned fits) and
+I/O errors (an output file or run directory that cannot be written).
 """
 
 from __future__ import annotations
@@ -49,13 +50,13 @@ EXIT_DOMAIN = 3
 
 
 def _guard(fn):
-    """Map domain errors to a short stderr line and exit code 3."""
+    """Map domain and I/O errors to a short stderr line and exit code 3."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (KippError, ValueError) as exc:
+        except (KippError, ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_DOMAIN)
 

@@ -119,6 +119,15 @@ class TestFitDisc:
         # a single point fits a zero-radius circle perfectly; not a disc
         assert not disc_verdict(fit_disc(np.zeros((3, 3))))
 
+    @pytest.mark.parametrize("tol_disc", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_verdict_meaningless_tol_rejected(self, tol_disc):
+        # inf would call this Gaussian matrix (support residual 1.25)
+        # circular, and nan or a tolerance <= 0 would call nothing circular
+        rng = np.random.default_rng(23)
+        fit = fit_disc(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        with pytest.raises(ValueError, match="tol_disc"):
+            disc_verdict(fit, tol_disc)
+
     @pytest.mark.parametrize("samples", [0, 3, 15])
     def test_too_few_samples_rejected(self, samples):
         # 3 samples fit any support function exactly: a random partial

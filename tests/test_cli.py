@@ -157,6 +157,23 @@ def test_malformed_matrix_file(runner, tmp_path):
             assert res.exit_code == 3, (command, text, res.output)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "jordan", "--n", "5", "--out", "{missing}/j5.json"],
+        ["poly", "{j5}", "--out", "{missing}/p.json"],
+        ["campaign", "--trials", "2", "--runs-dir", "{file}/runs"],
+    ],
+)
+def test_unwritable_output_exits_3(runner, j5_file, tmp_path, args):
+    # an output that cannot be written is an I/O error, not "violations found"
+    (tmp_path / "file").write_text("")
+    paths = {"missing": tmp_path / "missing", "j5": j5_file, "file": tmp_path / "file"}
+    res = runner.invoke(main, [a.format(**paths) for a in args])
+    assert res.exit_code == 3, res.output
+    assert "Traceback" not in res.output
+
+
 class TestGenerate:
     def test_jordan(self, runner, tmp_path):
         target = tmp_path / "j.json"

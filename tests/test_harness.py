@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,22 @@ from kippcurve.harness import (
     runs_root,
     s5_identity_check,
 )
+
+# conjecture_campaign(CampaignConfig(n_trials=75, seed=2108)) in the run-file
+# JSON: {"config": ..., "records": [...], "summary": ...}
+GOLDEN_CAMPAIGN = Path(__file__).parent / "golden" / "campaign_75_2108.json"
+
+
+def _split_floats(obj, floats: list):
+    """obj with every float replaced by None; the floats go to floats in walk order."""
+    if isinstance(obj, float):
+        floats.append(obj)
+        return None
+    if isinstance(obj, dict):
+        return {k: _split_floats(v, floats) for k, v in sorted(obj.items())}
+    if isinstance(obj, list):
+        return [_split_floats(v, floats) for v in obj]
+    return obj
 
 
 class TestOracleSuite:
@@ -70,6 +87,14 @@ class TestKer2Identities:
         # breaking the isometry constraints must wake the combinations up
         rep = ker2_identity_check(10, seed=105)
         assert rep.min_perturbed_response > 1e-5
+
+
+@pytest.mark.parametrize("suite", [oracle_identity_suite, ker2_identity_check])
+@pytest.mark.parametrize("count", [0, -1])
+def test_identity_suites_need_an_instance(suite, count):
+    # a suite over no instances checks nothing, so it cannot report passed
+    with pytest.raises(ValueError, match="count"):
+        suite(count, 7)
 
 
 class TestCampaign:
@@ -125,6 +150,23 @@ class TestCampaign:
             assert x.center == y.center
             assert x.radius == y.radius
             assert x.components == y.components
+
+    def test_matches_golden_campaign(self):
+        # pinned across commits: every non-float field exactly, every float
+        # (center, radius, residual, modulus, drawn s5 parameters) to 1e-12
+        # so that another LAPACK build still passes
+        golden = json.loads(GOLDEN_CAMPAIGN.read_text())
+        config = CampaignConfig(n_trials=75, seed=2108)
+        records, summary = conjecture_campaign(config)
+        assert json.loads(harness._to_json(config)) == golden["config"]
+        got, want = [], []
+        got_shape = _split_floats([json.loads(harness._to_json(r)) for r in records], got)
+        assert got_shape == _split_floats(golden["records"], want)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        got_summary, want_summary = json.loads(harness._to_json(summary)), golden["summary"]
+        key = "max_center_modulus_circular"
+        assert got_summary.pop(key) == pytest.approx(want_summary.pop(key), abs=1e-12)
+        assert got_summary == want_summary
 
     def test_circular_trials_have_small_center(self):
         cfg = CampaignConfig(n_trials=60, seed=202)
