@@ -43,6 +43,7 @@ from .linalg import DEFAULT_TOL, as_matrix, hermitian_parts, schur_triangularize
 _FLAT_GRID = 256  # angles of detect_flat's coarse gap scan over [0, pi)
 _NEWTON_ITERS = 12  # cap on the safeguarded Newton steps per bracket
 DISC_TOL = 1e-8  # support residual, relative to max(1, radius), below which a range reads circular
+MIN_DISC_SAMPLES = 16  # fewer support samples fit too many support functions too closely to tell
 
 
 def _check_tol(tol: float, name: str = "tol") -> None:
@@ -66,11 +67,11 @@ def fit_disc(a, samples: int = 64) -> DiscFit:
     """Least-squares circle fit to the support function on an even angle grid.
 
     The residual is the max deviation of h from the fitted model; it is
-    only small when W(A) is a disc.  Fewer than 16 samples fit too many
-    support functions too closely to tell, and raise ValueError.
+    only small when W(A) is a disc.  Fewer than MIN_DISC_SAMPLES samples
+    raise ValueError.
     """
-    if samples < 16:
-        raise ValueError(f"samples must be at least 16, got {samples}")
+    if samples < MIN_DISC_SAMPLES:
+        raise ValueError(f"samples must be at least {MIN_DISC_SAMPLES}, got {samples}")
     m = as_matrix(a)
     thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     h = np.linalg.eigvalsh(_pencil(*hermitian_parts(m), thetas))[:, -1]
@@ -413,7 +414,7 @@ def flat_report(t, roles, r: float, theta: float, mu: float, tol: float = DEFAUL
     lpq = mul(_lin(lam[p_]), _lin(lam[q_]))
     q_target = HomoPoly3(r2 * _flat_model(trio, mus, theta).c + 4.0 * mul(lpq, _flat_linear(trio, mus, theta)))
 
-    row_h = ConditionRow("h", complex(pr), 0.0, 0.0 if abs(pr) > tol else 1.0)
+    row_h = ConditionRow("h", complex(pr), 0j, 0.0 if abs(pr) > tol else 1.0)
     margins = []
     for (lj, mj), (lk, mk), (li_, _) in (
         ((lw, mw), (lt, mt), (lv, mv)),
@@ -422,7 +423,7 @@ def flat_report(t, roles, r: float, theta: float, mu: float, tol: float = DEFAUL
     ):
         margins.append(abs(lj * mk + lk * mj - 2.0 * mj * mk * eit - li_ * (mj + mk)))
     min_margin = min(margins)
-    row_i = ConditionRow("i", complex(min_margin), 0.0, 0.0 if min_margin > tol else 1.0)
+    row_i = ConditionRow("i", complex(min_margin), 0j, 0.0 if min_margin > tol else 1.0)
 
     return _report_from(_pack(q_target), _pack(_correction_cubic(tm)), (row_h, row_i))
 

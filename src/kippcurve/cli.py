@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 a check or campaign reported violations,
 2 usage errors (click), 3 domain failures (bad matrix file, wrong
 dimensions, parameters outside their disc, ill conditioned fits) and
 I/O errors (an output file or run directory that cannot be written).
+
+`classify`, `campaign` and `identities` print the library's result
+dataclasses through `formats.camel_fields`: each key is a field in camelCase.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import click
 
 from . import formats
 from .classify import (
+    MIN_DISC_SAMPLES,
     _check_tol,
     classify_curve,
     disc_verdict,
@@ -122,7 +126,8 @@ def poly(matrix, expanded, check_oracle, out):
 @main.command()
 @click.argument("matrix", type=click.Path(exists=True, dir_okay=False))
 @click.option("--tol", default=DEFAULT_TOL, show_default=True, help="factor-peeling residual tolerance")
-@click.option("--samples", default=64, type=click.IntRange(min=16), show_default=True, help="support samples for the disc fit")
+@click.option("--samples", default=64, type=click.IntRange(min=MIN_DISC_SAMPLES), show_default=True,
+              help="support samples for the disc fit")
 @click.option("--shape", is_flag=True, help="require the shape decomposition (errors for non-5x5 input)")
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False), default=None, help="also render the curve to this SVG file")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -278,7 +283,7 @@ def gen_jordan(n, out):
               help="interleave the fixed witness matrices")
 @click.option("--tol-disc", default=CampaignConfig.tol_disc, show_default=True)
 @click.option("--tol-center", default=CampaignConfig.tol_center, show_default=True)
-@click.option("--samples", default=CampaignConfig.samples, type=click.IntRange(min=16), show_default=True)
+@click.option("--samples", default=CampaignConfig.samples, type=click.IntRange(min=MIN_DISC_SAMPLES), show_default=True)
 @click.option("--classify/--no-classify", "do_classify", default=CampaignConfig.classify, show_default=True)
 @click.option("--runs-dir", type=click.Path(file_okay=False), default=None, help="defaults to $KIPP_RUNS_DIR or ./runs")
 @_guard
@@ -301,18 +306,11 @@ def campaign(trials, seed, ker_dims, structured, tol_disc, tol_center, samples, 
         classify=do_classify,
     )
     run_dir, _records, summary = run_campaign(config, root=runs_dir)
-    payload = {
-        "runDir": str(run_dir),
-        "trials": summary.n_trials,
-        "circular": summary.n_circular,
-        "structured": summary.n_structured,
-        "structuredExpectedCircular": summary.structured_expected_circular,
-        "structuredDetectedCircular": summary.structured_detected_circular,
-        "maxCenterModulusCircular": summary.max_center_modulus_circular,
-        "violations": list(summary.violations),
-        "flatAnomalies": list(summary.flat_anomalies),
-        "passed": summary.passed,
-    }
+    # the summary's fields but the tolerances, which config.json holds, and the counts under short names
+    payload = formats.camel_fields(summary)
+    del payload["tolDisc"], payload["tolCenter"]
+    payload.update(runDir=str(run_dir), trials=payload.pop("nTrials"),
+                   circular=payload.pop("nCircular"), structured=payload.pop("nStructured"))
     _write_json(payload, None)
     if not summary.passed:
         sys.exit(EXIT_VIOLATION)
@@ -328,35 +326,13 @@ def identities(count, seed):
     oracle_big = oracle_identity_suite(max(count // 5, 5), seed + 1, scale=1e3)
     s5 = s5_identity_check()
     k2 = ker2_identity_check(max(count // 2, 10), seed + 2)
+    oracle_keys = ("count", "scale", "max_relative", "passed")
     payload = {
-        "oracle": {
-            "count": oracle.count,
-            "scale": oracle.scale,
-            "maxRelative": oracle.max_relative,
-            "passed": oracle.passed,
-        },
-        "oracleLargeScale": {
-            "count": oracle_big.count,
-            "scale": oracle_big.scale,
-            "maxRelative": oracle_big.max_relative,
-            "passed": oracle_big.passed,
-        },
-        "s5": {
-            "maxDModulus": s5.max_d_modulus,
-            "scanZeroResidual": s5.scan_zero_residual,
-            "minScanMargin": s5.min_scan_margin,
-            "partialIsometryAtZero": s5.partial_isometry_at_zero,
-            "passed": s5.passed,
-        },
-        "ker2": {
-            "count": k2.count,
-            "maxComb1": k2.max_comb1,
-            "maxComb2": k2.max_comb2,
-            "maxComb1Distinct": k2.max_comb1_distinct,
-            "maxClosedFormGap": k2.max_closed_form_gap,
-            "minPerturbedResponse": k2.min_perturbed_response,
-            "passed": k2.passed,
-        },
+        "oracle": formats.camel_fields(oracle, *oracle_keys),
+        "oracleLargeScale": formats.camel_fields(oracle_big, *oracle_keys),
+        "s5": formats.camel_fields(s5, "max_d_modulus", "scan_zero_residual", "min_scan_margin",
+                                   "partial_isometry_at_zero", "passed"),
+        "ker2": formats.camel_fields(k2),
     }
     _write_json(payload, None)
     if not (oracle.passed and oracle_big.passed and s5.passed and k2.passed):

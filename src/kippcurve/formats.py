@@ -3,12 +3,14 @@
 Matrices travel as {"dim": n, "entries": [[re, im], ...]} in row-major
 order; polynomials as {"degree": d, "terms": [{"i", "j", "k", "c"}, ...]}
 sorted lexicographically by exponent; complex scalars always as a
-[re, im] pair.  Floats serialize through repr, which round-trips
-exactly, so equal data means equal bytes.
+[re, im] pair; library dataclasses through `camel_fields`, keys in
+camelCase.  Floats serialize through repr, which round-trips exactly,
+so equal data means equal bytes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from math import isfinite
 
@@ -80,49 +82,41 @@ def poly_to_json(p: HomoPoly3) -> dict:
     return {"degree": p.degree, "terms": terms}
 
 
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(word.capitalize() for word in rest)
+
+
+def _plain(v):
+    if dataclasses.is_dataclass(v):
+        return camel_fields(v)
+    if isinstance(v, complex):
+        return pair(v)
+    if isinstance(v, tuple):
+        return [_plain(x) for x in v]
+    return v
+
+
+def camel_fields(obj, *names) -> dict:
+    """The named dataclass fields of obj (all by default) under camelCase keys.
+
+    Complex values become [re, im] pairs, tuples lists, and nested
+    dataclasses dicts of their own fields, so the result is plain JSON.
+    """
+    names = names or [f.name for f in dataclasses.fields(obj)]
+    return {_camel(name): _plain(getattr(obj, name)) for name in names}
+
+
 def component_to_json(comp) -> dict:
-    out: dict = {"kind": comp.kind}
-    if comp.kind == "point":
-        out["location"] = pair(comp.location)
-    elif comp.kind == "ellipse":
-        out["foci"] = [pair(comp.focus1), pair(comp.focus2)]
-        out["minorAxis"] = float(comp.minor_axis)
-    elif comp.kind == "flat_quartic":
-        out["foci"] = [pair(f) for f in comp.foci]
-        out["theta"] = float(comp.theta)
-        out["mu"] = float(comp.mu)
-    else:
-        out["degree"] = int(comp.degree)
+    out = {"kind": comp.kind, **camel_fields(comp)}
+    if comp.kind == "ellipse":
+        out["foci"] = [out.pop("focus1"), out.pop("focus2")]
     return out
-
-
-def disc_fit_to_json(fit) -> dict:
-    return {
-        "center": pair(fit.center),
-        "radius": float(fit.radius),
-        "residual": float(fit.residual),
-    }
-
-
-def report_to_json(name: str, report) -> dict:
-    return {
-        "name": name,
-        "maxResidual": float(report.max_residual),
-        "rows": [
-            {
-                "label": r.label,
-                "lhs": pair(r.lhs),
-                "rhs": pair(r.rhs),
-                "residual": float(r.residual),
-            }
-            for r in report.rows
-        ],
-    }
 
 
 def classification_to_json(components, disc_fit, reports) -> dict:
     return {
         "components": [component_to_json(c) for c in components],
-        "discFit": disc_fit_to_json(disc_fit),
-        "reports": [report_to_json(name, rep) for (name, rep) in reports],
+        "discFit": camel_fields(disc_fit),
+        "reports": [{"name": name, **camel_fields(rep)} for name, rep in reports],
     }

@@ -27,6 +27,7 @@ import scipy.linalg
 # names: the benchmark's tracer swaps them to time each stage, and a test patches fit_disc.
 from .classify import (
     DISC_TOL,
+    MIN_DISC_SAMPLES,
     _check_tol,
     classify_curve,
     detect_flat,
@@ -397,6 +398,18 @@ def _summarize(config: CampaignConfig, records: list) -> CampaignSummary:
     )
 
 
+def _check_config(config: CampaignConfig) -> None:
+    # every check a config can fail, so that none fails after the first trial
+    if config.n_trials <= 0:
+        raise ValueError("n_trials must be positive")
+    _check_tol(config.tol_disc, "tol_disc")
+    _check_tol(config.tol_center, "tol_center")
+    if config.samples < MIN_DISC_SAMPLES:
+        raise ValueError(f"samples must be at least {MIN_DISC_SAMPLES}, got {config.samples}")
+    if not config.ker_dims or not all(d in range(6) for d in config.ker_dims):
+        raise ValueError(f"ker_dims must be a non-empty choice from 0..5, got {config.ker_dims}")
+
+
 def conjecture_campaign(config: CampaignConfig) -> tuple[list, CampaignSummary]:
     """Run the seeded trial plan and summarize circularity versus center location.
 
@@ -405,16 +418,11 @@ def conjecture_campaign(config: CampaignConfig) -> tuple[list, CampaignSummary]:
     none, structured circular fixtures are all detected circular, and
     no flat candidate shows up on the contraction-family fixtures.
     Tolerances that are not finite and positive would decide nothing
-    and are rejected, as `fit_disc` rejects fewer than 16 support samples;
-    so are kernel dimensions that no trial could draw, all before the
-    first trial.
+    and are rejected, as are fewer than `MIN_DISC_SAMPLES` support
+    samples and kernel dimensions that no trial could draw, all before
+    the first trial.
     """
-    if config.n_trials <= 0:
-        raise ValueError("n_trials must be positive")
-    _check_tol(config.tol_disc, "tol_disc")
-    _check_tol(config.tol_center, "tol_center")
-    if not config.ker_dims or not all(d in range(6) for d in config.ker_dims):
-        raise ValueError(f"ker_dims must be a non-empty choice from 0..5, got {config.ker_dims}")
+    _check_config(config)
     children = np.random.SeedSequence(config.seed).spawn(config.n_trials)
     records = [_trial(config, idx, child) for idx, child in enumerate(children)]
     return records, _summarize(config, records)
@@ -448,11 +456,14 @@ def run_campaign(config: CampaignConfig, root=None):
     """Execute the campaign and persist config, per-trial records, and summary.
 
     Layout: <root>/<campaign_id>/{config.json, records.jsonl, summary.json}.
-    Identical configs rewrite identical bytes.
+    Identical configs rewrite identical bytes.  The run directory is
+    created after the config checks and before the first trial, so an
+    unwritable root fails at once and an invalid config creates nothing.
     """
-    records, summary = conjecture_campaign(config)
+    _check_config(config)
     rdir = runs_root(root) / campaign_id(config)
     rdir.mkdir(parents=True, exist_ok=True)
+    records, summary = conjecture_campaign(config)
     (rdir / "config.json").write_text(_to_json(config, indent=2) + "\n")
     with open(rdir / "records.jsonl", "w") as fh:
         fh.writelines(_to_json(r) + "\n" for r in records)

@@ -16,3 +16,24 @@ def count_eigensolves(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+def _split_floats(obj, floats: list):
+    if isinstance(obj, float):
+        floats.append(obj)
+        return None
+    if isinstance(obj, dict):
+        return {k: _split_floats(v, floats) for k, v in sorted(obj.items())}
+    if isinstance(obj, list):
+        return [_split_floats(v, floats) for v in obj]
+    return obj
+
+
+@pytest.fixture
+def split_floats():
+    """f(obj, floats): obj with every float replaced by None; the floats go to floats in walk order.
+
+    Golden comparisons match the float-free shape exactly and the floats
+    within a tolerance, so that another LAPACK build still passes.
+    """
+    return _split_floats

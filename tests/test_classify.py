@@ -592,6 +592,15 @@ class TestReports:
                 assert abs(row.lhs - lhs[row.label]) < 1e-12, row
                 assert abs(row.rhs - rhs[row.label]) < 1e-12, row
 
+    def test_rows_hold_complex_sides(self):
+        # the condition sides print as [re, im] pairs, the predicate rows (h), (i) too
+        rng = np.random.default_rng(2016)
+        t = np.triu(0.5 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))))
+        roles = (2, 0, 4, 1, 3)
+        for rep in (two_ellipse_report(t, roles, 0.7, 0.45), flat_report(t, roles, 0.6, 0.8, 0.35)):
+            for row in rep.rows:
+                assert isinstance(row.lhs, complex) and isinstance(row.rhs, complex), row
+
     def test_report_row_lookup(self):
         lams = [0.1, 0.2, 0.3, 0.4, 0.5]
         a = two_ellipse_block(*lams, 0.5, 0.5)

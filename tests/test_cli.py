@@ -6,11 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from click.testing import CliRunner
 
 from kippcurve import formats
 from kippcurve.cli import main
-from kippcurve.generators import jordan_shift, two_ellipse_block
+from kippcurve.generators import flat_3x3, jordan_shift, two_ellipse_block
 from kippcurve.homopoly import HomoPoly3, max_coeff_diff
 from kippcurve.harness import CampaignConfig, campaign_id
 from kippcurve.kippenhahn import boundary_polyline, kipp_poly_det
@@ -318,3 +319,44 @@ def test_golden_svg_stable(runner, tmp_path):
     res = runner.invoke(main, ["classify", str(path), "--svg", str(target)])
     assert res.exit_code == 0
     assert target.read_text() == (GOLDEN / "j2_circle.svg").read_text()
+
+
+# the classify, identities and campaign documents pinned: keys, nesting and
+# non-float values exactly, floats to 1e-12; a serializer that drops or renames
+# a key, or prints a complex value as a bare float, fails here
+GOLDEN_MATRICES = {
+    "two_ellipse": two_ellipse_block(0.3 + 0.1j, -0.2j, 0.1 - 0.3j, 0.25, -0.35, 0.8, 0.55),
+    "ellipse_flat": scipy.linalg.block_diag(
+        np.array([[0.3 + 0.1j, 0.7], [0.0, -0.2j]]), flat_3x3(0.2, 0.1 + 0.3j, -0.1 - 0.2j, 0.3, 0.45)
+    ),
+}
+
+
+def _assert_golden(doc, name, split_floats):
+    want_doc = json.loads((GOLDEN / f"cli_{name}.json").read_text())
+    got, want = [], []
+    assert split_floats(doc, got) == split_floats(want_doc, want)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MATRICES))
+def test_classify_matches_golden(runner, tmp_path, split_floats, name):
+    path = tmp_path / f"{name}.json"
+    formats.dump_matrix(GOLDEN_MATRICES[name], path)
+    res = runner.invoke(main, ["classify", str(path)])
+    assert res.exit_code == 0
+    _assert_golden(json.loads(res.output), f"classify_{name}", split_floats)
+
+
+def test_identities_matches_golden(runner, split_floats):
+    res = runner.invoke(main, ["identities", "--count", "10", "--seed", "1234"])
+    assert res.exit_code == 0
+    _assert_golden(json.loads(res.output), "identities_10_1234", split_floats)
+
+
+def test_campaign_matches_golden(runner, tmp_path, split_floats):
+    res = runner.invoke(main, ["campaign", "--trials", "60", "--seed", "3", "--runs-dir", str(tmp_path)])
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert doc.pop("runDir") == str(tmp_path / campaign_id(CampaignConfig(n_trials=60, seed=3)))
+    _assert_golden({**doc, "runDir": None}, "campaign_60_3", split_floats)

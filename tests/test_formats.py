@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from kippcurve import formats
-from kippcurve.classify import DiscFit, classify_curve, fit_disc, matched_reports
+from kippcurve.classify import (
+    ConditionReport,
+    ConditionRow,
+    DiscFit,
+    FlatQuarticComponent,
+    classify_curve,
+    fit_disc,
+    matched_reports,
+)
 from kippcurve.generators import jordan_shift, two_ellipse_block
 from kippcurve.homopoly import HomoPoly3
 
@@ -90,9 +98,22 @@ def test_component_serialization():
 
 def test_disc_fit_serialization():
     fit = DiscFit(center=0.25 - 0.5j, radius=0.5, residual=1e-16)
-    obj = formats.disc_fit_to_json(fit)
-    assert obj["center"] == [0.25, -0.5]
-    assert obj["radius"] == 0.5
+    obj = formats.camel_fields(fit)
+    assert obj == {"center": [0.25, -0.5], "radius": 0.5, "residual": 1e-16}
+    assert formats.camel_fields(fit, "radius") == {"radius": 0.5}
+
+
+def test_camel_fields_nested():
+    rep = ConditionReport((ConditionRow("h", 0.5 + 0j, 0j, 0.0),), 0.0)
+    row = {"label": "h", "lhs": [0.5, 0.0], "rhs": [0.0, 0.0], "residual": 0.0}
+    assert formats.camel_fields(rep) == {"rows": [row], "maxResidual": 0.0}
+    quartic = FlatQuarticComponent((1j, -1 + 0j), 0.25, 0.5)
+    assert formats.component_to_json(quartic) == {
+        "kind": "flat_quartic",
+        "foci": [[0.0, 1.0], [-1.0, 0.0]],
+        "theta": 0.25,
+        "mu": 0.5,
+    }
 
 
 def test_classification_document():

@@ -25,18 +25,6 @@ from kippcurve.harness import (
 GOLDEN_CAMPAIGN = Path(__file__).parent / "golden" / "campaign_75_2108.json"
 
 
-def _split_floats(obj, floats: list):
-    """obj with every float replaced by None; the floats go to floats in walk order."""
-    if isinstance(obj, float):
-        floats.append(obj)
-        return None
-    if isinstance(obj, dict):
-        return {k: _split_floats(v, floats) for k, v in sorted(obj.items())}
-    if isinstance(obj, list):
-        return [_split_floats(v, floats) for v in obj]
-    return obj
-
-
 class TestOracleSuite:
     def test_small_batch_passes(self):
         rep = oracle_identity_suite(10, seed=101)
@@ -141,6 +129,15 @@ class TestCampaign:
             conjecture_campaign(CampaignConfig(n_trials=3, seed=0, ker_dims=ker_dims))
         assert fits == []
 
+    def test_too_few_samples_rejected_before_any_draw(self, monkeypatch):
+        # 8 samples would fit every trial's support function too closely to tell
+        draws = []
+        draw = harness._draw
+        monkeypatch.setattr(harness, "_draw", lambda *args: draws.append(args) or draw(*args))
+        with pytest.raises(ValueError, match="samples"):
+            conjecture_campaign(CampaignConfig(n_trials=3, seed=1, samples=8))
+        assert draws == []
+
     def test_deterministic_records(self):
         cfg = CampaignConfig(n_trials=15, seed=201)
         rec_a, sum_a = conjecture_campaign(cfg)
@@ -151,7 +148,7 @@ class TestCampaign:
             assert x.radius == y.radius
             assert x.components == y.components
 
-    def test_matches_golden_campaign(self):
+    def test_matches_golden_campaign(self, split_floats):
         # pinned across commits: every non-float field exactly, every float
         # (center, radius, residual, modulus, drawn s5 parameters) to 1e-12
         # so that another LAPACK build still passes
@@ -160,8 +157,8 @@ class TestCampaign:
         records, summary = conjecture_campaign(config)
         assert json.loads(harness._to_json(config)) == golden["config"]
         got, want = [], []
-        got_shape = _split_floats([json.loads(harness._to_json(r)) for r in records], got)
-        assert got_shape == _split_floats(golden["records"], want)
+        got_shape = split_floats([json.loads(harness._to_json(r)) for r in records], got)
+        assert got_shape == split_floats(golden["records"], want)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
         got_summary, want_summary = json.loads(harness._to_json(summary)), golden["summary"]
         key = "max_center_modulus_circular"
@@ -216,6 +213,22 @@ class TestPersistence:
         run_dir, _, _ = run_campaign(cfg, root=tmp_path)
         for line in (run_dir / "records.jsonl").read_text().splitlines():
             assert "timestamp" not in json.loads(line)
+
+    def test_unwritable_root_fails_before_any_trial(self, monkeypatch, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        trials = []
+        trial = harness._trial
+        monkeypatch.setattr(harness, "_trial", lambda *args: trials.append(args) or trial(*args))
+        with pytest.raises(OSError):
+            run_campaign(CampaignConfig(n_trials=30, seed=5), root=blocker / "runs")
+        assert trials == []
+
+    @pytest.mark.parametrize("bad", [{"samples": 8}, {"tol_disc": 0.0}, {"ker_dims": (7,)}])
+    def test_invalid_config_creates_nothing(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            run_campaign(CampaignConfig(n_trials=3, seed=1, **bad), root=tmp_path / "runs")
+        assert not (tmp_path / "runs").exists()
 
     def test_campaign_id_depends_on_config(self):
         a = campaign_id(CampaignConfig(n_trials=10, seed=1))
