@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import NegativeMinorAxisSquared, NotDim5
 from .homopoly import HomoPoly3, divide, linear, max_abs_coeff, max_coeff_diff, mul
-from .kippenhahn import _E4, _check_upper_5x5, _correction_cubic, _fit_sweep, _lin, _pencil, _sweep
+from .kippenhahn import _E4, _check_upper_5x5, _circle_sweep, _correction_cubic, _fit_sweep, _lin, _pencil, _sweep
 from .linalg import DEFAULT_TOL, as_matrix, hermitian_parts, schur_triangularize
 
 _FLAT_GRID = 256  # angles of detect_flat's coarse gap scan over [0, pi)
@@ -66,15 +66,17 @@ class DiscFit:
 def fit_disc(a, samples: int = 64) -> DiscFit:
     """Least-squares circle fit to the support function on an even angle grid.
 
-    The residual is the max deviation of h from the fitted model; it is
-    only small when W(A) is a disc.  Fewer than MIN_DISC_SAMPLES samples
-    raise ValueError.
+    The support function h(theta) is the top eigenvalue of the pencil at
+    theta, and h(theta + pi) is minus its bottom one, since the pencil at
+    theta + pi is minus the one at theta; so an even samples costs
+    samples / 2 eigensolves (`_circle_sweep`).  The residual is the max
+    deviation of h from the fitted model; it is only small when W(A) is a
+    disc.  Fewer than MIN_DISC_SAMPLES samples raise ValueError.
     """
     if samples < MIN_DISC_SAMPLES:
         raise ValueError(f"samples must be at least {MIN_DISC_SAMPLES}, got {samples}")
-    m = as_matrix(a)
-    thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    h = np.linalg.eigvalsh(_pencil(*hermitian_parts(m), thetas))[:, -1]
+    thetas, lams = _circle_sweep(as_matrix(a), samples)
+    h = lams[:, -1]
     design = np.stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)], axis=1)
     coef, *_ = np.linalg.lstsq(design, h, rcond=None)
     resid = float(np.max(np.abs(design @ coef - h)))
@@ -272,13 +274,14 @@ def detect_flat(a, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
     Each adjacent gap lam_{j+1} - lam_j of cos(theta) H + sin(theta) K is
     scanned by one eigvalsh stack at _FLAT_GRID angles over [0, pi), and
     every grid local minimum of every gap gets its own bracket of one grid
-    step on each side, refined on that gap alone by `_newton_min`.  (The
-    pencil at theta + pi is minus the one at theta, so gap j continues past
-    pi as gap n - 2 - j, and a probe past 0 or pi comes back by pi with mu
-    negated.)  A bracket whose best probe is within tol scale of a
-    collision, scale = max(1, largest |lam|), gives (theta, mu) there, mu =
-    minus the mean of lam_j and lam_{j+1}: candidate flat-portion
-    parameters, usually none.  tol must be finite and positive.
+    step on each side, refined on that gap alone by `_newton_min`.  [0, pi)
+    covers the circle: the pencil at theta + pi is minus the one at theta,
+    the identity `kippenhahn._circle_sweep` folds its sweeps by, so gap j
+    continues past pi as gap n - 2 - j, and a probe past 0 or pi comes
+    back by pi with mu negated.  A bracket whose best probe is within tol
+    scale of a collision, scale = max(1, largest |lam|), gives (theta, mu)
+    there, mu = minus the mean of lam_j and lam_{j+1}: candidate
+    flat-portion parameters, usually none.  tol must be finite and positive.
 
     Most brackets are dropped unrefined: gap j moves at most
     L = `_weyl_rate` of the scan per radian, so with slack =

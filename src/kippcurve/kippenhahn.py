@@ -7,8 +7,8 @@ For A = H + iK with Hermitian H, K the associated polynomial is
 homogeneous of degree n with real coefficients and monic in z.  The dual
 curve of p_A = 0 generates the numerical range: W(A) is the convex hull
 of the curve's real affine points.  Two independent routes to p_A live
-here.  `kipp_poly_det` diagonalizes the pencil cos(t) H + sin(t) K at
-2n + 2 angles (`_sweep`), expands prod_j (z + lam_j(t)) and fits each
+here.  `kipp_poly_det` samples the pencil cos(t) H + sin(t) K at 2n + 2
+angles (`_sweep`), expands prod_j (z + lam_j(t)) and fits each
 z-layer by least squares through a projection cached per degree
 (`_fit_sweep`, which reads the angles off the degree as `_sweep` does);
 it works for any square A up to degree 12, and `classify` reuses the
@@ -23,6 +23,11 @@ the factorization condition reports in `classify` read their entry side
 off Q's coefficients.  Also here: the one function that builds the pencil
 stack, and the one eigenvector sweep that samples the curve's points,
 whose top-eigenvalue column is the boundary of W(A).
+
+The pencil at t + pi is minus the one at t, so a sweep over an even grid
+of [0, 2 pi) diagonalizes only its angles in [0, pi) (`_circle_sweep`,
+behind `_sweep`, `curve_points` and `classify.fit_disc`): 2n + 2 angles
+cost n + 1 eigensolves.
 """
 
 from __future__ import annotations
@@ -45,41 +50,66 @@ def _pencil(h: np.ndarray, k: np.ndarray, thetas) -> np.ndarray:
     """cos(theta) H + sin(theta) K, stacked over the shape of thetas.
 
     Every spectral computation of the package diagonalizes this stack with
-    one batched eigensolve.
+    one batched eigensolve.  The pencil at theta + pi is minus the one at
+    theta, so none diagonalizes both: `_circle_sweep` and
+    `classify.detect_flat` diagonalize angles in [0, pi) only.
     """
     th = np.asarray(thetas, dtype=float)[..., None, None]
     return np.cos(th) * h + np.sin(th) * k
 
 
-def _sweep_angles(n: int) -> np.ndarray:
-    """The 2n + 2 equispaced angles over [0, 2 pi) at which degree n is swept."""
-    return np.linspace(0.0, 2.0 * np.pi, 2 * n + 2, endpoint=False)
+def _angles(samples: int) -> np.ndarray:
+    """samples equispaced angles over [0, 2 pi): the grid of every full-circle sweep."""
+    return np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+
+
+def _circle_sweep(m: np.ndarray, samples: int, points: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(thetas, rows): the pencil of m at the samples `_angles`, one row per angle.
+
+    Row t holds the ascending eigenvalues at thetas[t], or with points the
+    curve points u* m u over the eigenvectors in the same order.  For an
+    even samples, row t + samples / 2 is at thetas[t] + pi, where the
+    pencil is negated: its eigenvalues are row t's negated and reversed,
+    its eigenvectors row t's reversed up to a phase that u* m u ignores.
+    Only the first half is diagonalized; an odd samples is swept in full.
+    """
+    thetas = _angles(samples)
+    odd = samples % 2 == 1
+    pencil = _pencil(*hermitian_parts(m), thetas if odd else thetas[: samples // 2])
+    if points:
+        _, vecs = np.linalg.eigh(pencil)
+        rows = np.einsum("tik,tik->tk", vecs.conj(), m @ vecs)
+        mirror = rows[:, ::-1]
+    else:
+        rows = np.linalg.eigvalsh(pencil)
+        mirror = -rows[:, ::-1]
+    return thetas, rows if odd else np.concatenate([rows, mirror])
 
 
 def _sweep(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(thetas, lams): the pencil's eigenvalues at the `_sweep_angles` of its degree.
+    """(thetas, lams): the pencil's eigenvalues at 2n + 2 equispaced angles, n its degree.
 
     lams[t] holds the ascending eigenvalues of cos(thetas[t]) H + sin(thetas[t]) K.
+    2n + 2 is even, so `_circle_sweep` diagonalizes n + 1 of the angles.
     Raises BadDims above MAX_DEGREE.
     """
     n = m.shape[0]
     if n > MAX_DEGREE:
         raise BadDims(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
-    thetas = _sweep_angles(n)
-    return thetas, np.linalg.eigvalsh(_pencil(*hermitian_parts(m), thetas))
+    return _circle_sweep(m, 2 * n + 2)
 
 
 @cache
 def _layer_projections(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (design, pinv(design)) of the z-layers of degree 1..n, stacked.
 
-    design[m - 1] has the columns cos^(m-j) sin^j, j = 0..m, at the
-    `_sweep_angles` of degree n, padded with zero columns to n + 1, and
+    design[m - 1] has the columns cos^(m-j) sin^j, j = 0..m, at the 2n + 2
+    angles of a degree-n `_sweep`, padded with zero columns to n + 1, and
     pinv[m - 1] is its pseudo-inverse padded with zero rows.  They depend
     on nothing but n, so every sweep of the same degree shares one
     least-squares projection.
     """
-    thetas = _sweep_angles(n)
+    thetas = _angles(2 * n + 2)
     powers = np.arange(n + 1)
     cos_pow = np.cos(thetas)[:, None] ** powers
     sin_pow = np.sin(thetas)[:, None] ** powers
@@ -129,7 +159,8 @@ def kipp_poly_det(a) -> HomoPoly3:
     eigenvalues of cos(t) H + sin(t) K, so the z^(n-m) coefficient layer is
     the m-th elementary symmetric function of the lam_j(t), a form of
     degree m in (cos t, sin t).  `_sweep` samples the eigenvalues at
-    2n + 2 equispaced angles and `_fit_sweep` fits each layer by least
+    2n + 2 equispaced angles (n + 1 eigensolves, as the pencil at t + pi
+    is minus the one at t) and `_fit_sweep` fits each layer by least
     squares in the monomials cos^(m-j) sin^j, through a projection cached
     per degree; the z^n layer is 1, so the result is monic by construction.
     Each fitted layer is column n - m of the coefficient array.  Raises
@@ -229,11 +260,12 @@ def curve_points(a, samples: int = 256) -> np.ndarray:
 
     Row t holds u* A u over the eigenvectors u of the pencil at theta_t, by
     ascending eigenvalue: the tangency points of the lines orthogonal to theta_t.
+    An even samples costs samples / 2 eigensolves (`_circle_sweep`).  Fewer
+    than one sample raise ValueError.
     """
-    m = as_matrix(a)
-    thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    _, vecs = np.linalg.eigh(_pencil(*hermitian_parts(m), thetas))
-    return np.einsum("tik,tik->tk", vecs.conj(), m @ vecs)
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    return _circle_sweep(as_matrix(a), samples, points=True)[1]
 
 
 def boundary_polyline(a, samples: int = 256) -> np.ndarray:

@@ -10,6 +10,7 @@ import scipy.linalg
 from click.testing import CliRunner
 
 from kippcurve import formats
+from kippcurve.classify import fit_disc
 from kippcurve.cli import main
 from kippcurve.generators import flat_3x3, jordan_shift, two_ellipse_block
 from kippcurve.homopoly import HomoPoly3, max_coeff_diff
@@ -136,7 +137,7 @@ def test_boundary_csv_and_svg_from_one_sweep(runner, j5_file, tmp_path, count_ei
     target = tmp_path / "boundary.svg"
     res = runner.invoke(main, ["boundary", j5_file, "--samples", "16", "--svg", str(target)])
     assert res.exit_code == 0
-    assert count_eigensolves["eigh"] == [16]
+    assert count_eigensolves["eigh"] == [8]
     pts = boundary_polyline(jordan_shift(5), 16)
     assert res.output == "".join(f"{formats.f17(p.real)},{formats.f17(p.imag)}\n" for p in pts)
     assert target.read_text() == render_svg(jordan_shift(5), samples=16)
@@ -319,6 +320,30 @@ def test_golden_svg_stable(runner, tmp_path):
     res = runner.invoke(main, ["classify", str(path), "--svg", str(target)])
     assert res.exit_code == 0
     assert target.read_text() == (GOLDEN / "j2_circle.svg").read_text()
+
+
+def _gaussian12():
+    rng = np.random.default_rng(12)
+    return (rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))) / 2.0
+
+
+# render_svg pinned on three inputs: the markup exactly, every number to
+# 2e-3 px, so that another LAPACK build still passes
+GOLDEN_SVGS = {
+    "j5_disc": lambda: render_svg(jordan_shift(5), disc=fit_disc(jordan_shift(5))),
+    "two_ellipse": lambda: render_svg(two_ellipse_block(0.3 + 0.1j, -0.2j, 0.1 - 0.3j, 0.25, -0.35, 0.8, 0.55)),
+    "gauss12": lambda: render_svg(_gaussian12(), disc=fit_disc(_gaussian12())),
+}
+_SVG_NUMBER = re.compile(r"-?\d+\.\d+")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SVGS))
+def test_svg_matches_golden(name):
+    got, want = GOLDEN_SVGS[name](), (GOLDEN / f"svg_{name}.svg").read_text()
+    assert _SVG_NUMBER.sub("#", got) == _SVG_NUMBER.sub("#", want)
+    got_nums = [float(x) for x in _SVG_NUMBER.findall(got)]
+    want_nums = [float(x) for x in _SVG_NUMBER.findall(want)]
+    np.testing.assert_allclose(got_nums, want_nums, rtol=0.0, atol=2e-3)
 
 
 # the classify, identities and campaign documents pinned: keys, nesting and

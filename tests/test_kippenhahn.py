@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kippcurve.classify import entry_condition_rhs, flat_report, two_ellipse_report
+from kippcurve.classify import entry_condition_rhs, fit_disc, flat_report, two_ellipse_report
 from kippcurve.errors import BadDims, IllConditionedInterpolation, NotDim5, NotUpperTriangular
 from kippcurve.generators import haar_unitary, jordan_shift, two_ellipse_block
 from kippcurve.homopoly import HomoPoly3, max_abs_coeff, max_coeff_diff, mul, substitute_linear
 from kippcurve.kippenhahn import (
+    _angles,
+    _circle_sweep,
     _fit_sweep,
     _layer_projections,
     _pencil,
@@ -26,6 +28,7 @@ from kippcurve.kippenhahn import (
     kipp_poly_expanded,
 )
 from kippcurve.linalg import hermitian_parts
+from kippcurve.svgplot import render_svg
 
 
 def random_upper(rng, n=5):
@@ -303,3 +306,87 @@ def test_curve_cloud_on_components():
             best = min(best, abs(abs(z - f1) + abs(z - f2) - major))
         worst = max(worst, best)
     assert worst < 1e-8
+
+
+# --- the half-circle fold: the pencil at theta + pi is minus the one at theta ---
+
+
+def gaussian(n, seed=0):
+    rng = np.random.default_rng([seed, n])
+    return (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / 2.0
+
+
+def direct_sweep(a, samples):
+    """Eigenvalues (eigvalsh) and curve points (eigh) of the pencil at every angle, no fold."""
+    pencil = _pencil(*hermitian_parts(a), _angles(samples))
+    _, vecs = np.linalg.eigh(pencil)
+    return np.linalg.eigvalsh(pencil), np.einsum("tik,tik->tk", vecs.conj(), a @ vecs)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_poly_det_diagonalizes_half_its_sweep(count_eigensolves, n):
+    kipp_poly_det(gaussian(n))
+    assert count_eigensolves == {"eigh": [], "eigvalsh": [n + 1]}
+
+
+@pytest.mark.parametrize("samples, stack", [(64, 32), (65, 65)])
+def test_fit_disc_stack(count_eigensolves, samples, stack):
+    fit_disc(gaussian(5), samples)
+    assert count_eigensolves == {"eigh": [], "eigvalsh": [stack]}
+
+
+@pytest.mark.parametrize("samples, stack", [(256, 128), (255, 255)])
+def test_curve_points_stack(count_eigensolves, samples, stack):
+    curve_points(gaussian(5), samples)
+    assert count_eigensolves == {"eigh": [stack], "eigvalsh": []}
+
+
+@pytest.mark.parametrize("samples", [2, 16, 64, 256])
+def test_second_half_mirrors_first_exactly(samples):
+    a, half = gaussian(7), samples // 2
+    _, lams = _circle_sweep(a, samples)
+    assert np.array_equal(lams[half:], -lams[:half, ::-1])
+    pts = curve_points(a, samples)
+    assert np.array_equal(pts[half:], pts[:half, ::-1])
+
+
+@pytest.mark.parametrize("samples", [1, 15, 65, 255])
+def test_odd_samples_sweep_in_full(samples):
+    a = gaussian(6)
+    lams, pts = direct_sweep(a, samples)
+    assert np.array_equal(_circle_sweep(a, samples)[1], lams)
+    assert np.array_equal(curve_points(a, samples), pts)
+
+
+@pytest.mark.parametrize("samples", [16, 64, 256])
+def test_fold_matches_direct_sweep(samples):
+    for n in range(2, 13):
+        a = gaussian(n, seed=1)
+        bound = 1e-13 * max(1.0, np.linalg.norm(a, 2))
+        lams, pts = direct_sweep(a, samples)
+        assert np.max(np.abs(curve_points(a, samples) - pts)) < bound
+        # the support samples fit_disc fits: the top column
+        assert np.max(np.abs(_circle_sweep(a, samples)[1][:, -1] - lams[:, -1])) < bound
+
+
+def test_fit_disc_matches_direct_fit():
+    a = gaussian(5, seed=2)
+    thetas = _angles(64)
+    design = np.stack([np.ones(64), np.cos(thetas), np.sin(thetas)], axis=1)
+    coef, *_ = np.linalg.lstsq(design, direct_sweep(a, 64)[0][:, -1], rcond=None)
+    fit = fit_disc(a)
+    assert abs(fit.radius - coef[0]) < 1e-14
+    assert abs(fit.center - complex(coef[1], coef[2])) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [lambda a: curve_points(a, 0), lambda a: boundary_polyline(a, 0), lambda a: render_svg(a, samples=0)],
+    ids=["curve_points", "boundary_polyline", "render_svg"],
+)
+def test_no_samples_rejected(draw):
+    # zero samples used to give an empty boundary and an SVG path with no point
+    with pytest.raises(ValueError, match="samples"):
+        draw(jordan_shift(3))
+    with pytest.raises(ValueError, match="samples"):
+        curve_points(jordan_shift(3), -4)
