@@ -9,9 +9,10 @@ where an ellipse with foci li, lj and minor axis r corresponds to the
 quadratic l_i l_j - (r^2/4)(x^2 + y^2), a point to a linear factor, and
 the flat cubic is a degree-3 factor whose dual curve carries a line
 segment, matched at the directions where `detect_flat` finds two
-adjacent pencil eigenvalues colliding (each gap scanned on its own and
-refined by safeguarded Newton steps on its Hellmann-Feynman slope,
-brackets that Weyl's bound rules out dropped).
+adjacent pencil eigenvalues colliding (each gap scanned on its own
+around the circle by the folded `_circle_sweep` and refined by
+safeguarded Newton steps on its Hellmann-Feynman slope, brackets that
+Weyl's bound rules out dropped).
 `classify_curve` peels these factors off numerically, each
 by synthetic division (`homopoly.divide`) of the polynomial's
 coefficient array by a linear or conic form monic in z, after `_screen`
@@ -40,7 +41,7 @@ from .homopoly import HomoPoly3, divide, linear, max_abs_coeff, max_coeff_diff, 
 from .kippenhahn import _E4, _check_upper_5x5, _circle_sweep, _correction_cubic, _fit_sweep, _lin, _pencil, _sweep
 from .linalg import DEFAULT_TOL, as_matrix, hermitian_parts, schur_triangularize
 
-_FLAT_GRID = 256  # angles of detect_flat's coarse gap scan over [0, pi)
+_FLAT_GRID = 256  # detect_flat's scan angles in [0, pi); its folded sweep has twice as many over [0, 2 pi)
 _NEWTON_ITERS = 12  # cap on the safeguarded Newton steps per bracket
 DISC_TOL = 1e-8  # support residual, relative to max(1, radius), below which a range reads circular
 MIN_DISC_SAMPLES = 16  # fewer support samples fit too many support functions too closely to tell
@@ -180,13 +181,13 @@ def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
 
 
 def _weyl_rate(lams: np.ndarray) -> float:
-    """Bound on |d gap_j / d theta| from lams, the scan's eigenvalues at _FLAT_GRID angles over [0, pi).
+    """Bound on |d gap_j / d theta| from lams, a sweep's eigenvalues at 2 _FLAT_GRID angles over [0, 2 pi).
 
     d/dtheta P(theta) = P(theta + pi/2), so by Weyl's inequality each
     eigenvalue moves at most w(A), the numerical radius, per radian.  The
     top eigenvalue at theta is at least w(A) cos(theta - arg z), |z| = w(A)
-    in W(A), so at a scan angle or its opposite (same largest |lam|) it is
-    at least w(A) cos(pi / (2 _FLAT_GRID)).
+    in W(A), so at the nearest sweep angle it is at least
+    w(A) cos(pi / (2 _FLAT_GRID)).
     """
     return 2.0 * float(np.max(np.abs(lams))) / np.cos(np.pi / (2 * _FLAT_GRID))
 
@@ -244,26 +245,10 @@ def _newton_min(h, k, x: np.ndarray, step: float, j: np.ndarray, rate: float, sl
 
 
 def _dedupe(cands) -> list[tuple[float, float]]:
-    """The candidates (theta, mu) in order, but for each within 1e-6 in both of one kept before it.
-
-    theta is taken mod pi.  Kept ones are filed by cells of width at least
-    2e-6 in theta (wrapping past pi) and in mu, so that every kept one
-    within 1e-6 of a candidate sits in one of the nine cells around it.
-    """
-    n_th = int(np.pi // 2e-6)
-    w_th = np.pi / n_th
-    cells: dict = {}
+    """The candidates (theta, mu) in order, but for each within 1e-6 in both of one kept before it, theta mod pi."""
     out = []
     for th, mu in cands:
-        ct, cm = int(th // w_th), int(mu // 2e-6)
-        near = (
-            (t0, m0)
-            for dt in (-1, 0, 1)
-            for dm in (-1, 0, 1)
-            for (t0, m0) in cells.get(((ct + dt) % n_th, cm + dm), ())
-        )
-        if not any(min(abs(th - t0), np.pi - abs(th - t0)) < 1e-6 and abs(mu - m0) < 1e-6 for t0, m0 in near):
-            cells.setdefault((ct % n_th, cm), []).append((th, mu))
+        if not any(min(abs(th - t0), np.pi - abs(th - t0)) < 1e-6 and abs(mu - m0) < 1e-6 for t0, m0 in out):
             out.append((th, mu))
     return out
 
@@ -272,38 +257,37 @@ def detect_flat(a, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
     """Directions theta in [0, pi) where two pencil eigenvalues collide.
 
     Each adjacent gap lam_{j+1} - lam_j of cos(theta) H + sin(theta) K is
-    scanned by one eigvalsh stack at _FLAT_GRID angles over [0, pi), and
-    every grid local minimum of every gap gets its own bracket of one grid
-    step on each side, refined on that gap alone by `_newton_min`.  [0, pi)
-    covers the circle: the pencil at theta + pi is minus the one at theta,
-    the identity `kippenhahn._circle_sweep` folds its sweeps by, so gap j
-    continues past pi as gap n - 2 - j, and a probe past 0 or pi comes
-    back by pi with mu negated.  A bracket whose best probe is within tol
-    scale of a collision, scale = max(1, largest |lam|), gives (theta, mu)
-    there, mu = minus the mean of lam_j and lam_{j+1}: candidate
-    flat-portion parameters, usually none.  tol must be finite and positive.
+    scanned on the `_circle_sweep` of 2 _FLAT_GRID angles over [0, 2 pi),
+    one eigvalsh stack at the _FLAT_GRID angles in [0, pi); its gaps form a
+    ring, so each of those angles has a neighbour on both sides.  Every
+    grid local minimum of every gap gets its own bracket of one grid step
+    on each side, refined on that gap alone by `_newton_min`, and so does
+    a positive gap beside one that is exactly 0: the end of a run of
+    g = 0, where a third eigenvalue crosses a repeated one.  A probe past
+    0 or pi comes back by pi with mu negated.  A bracket whose best probe
+    is within tol scale of a collision, scale = max(1, largest |lam|),
+    gives (theta, mu) there, mu = minus the mean of lam_j and lam_{j+1}:
+    candidate flat-portion parameters, usually none.  tol must be finite
+    and positive.
 
     Most brackets are dropped unrefined: gap j moves at most
-    L = `_weyl_rate` of the scan per radian, so with slack =
+    L = `_weyl_rate` of the sweep per radian, so with slack =
     tol max(1, L / 2), at least tol scale, a bracket whose grid gap exceeds
     L pi / _FLAT_GRID + slack could not be accepted, and no drop changes a
     result.  A collision within 1e-6 of an earlier one in both theta
-    (mod pi) and mu is dropped.  A crossing at the edge of a gap that is
-    exactly 0 over a run of grid angles, as with a repeated eigenvalue of a
-    normal block, is not returned: its bracket starts on the run at g = 0
-    and stops there.
+    (mod pi) and mu is dropped.
     """
     _check_tol(tol)
-    h, k = hermitian_parts(a)
-    thetas = np.linspace(0.0, np.pi, _FLAT_GRID, endpoint=False)
-    lams = np.linalg.eigvalsh(_pencil(h, k, thetas))
-    gaps = np.diff(lams, axis=-1)
-    before = np.concatenate([gaps[-1:, ::-1], gaps[:-1]])
-    after = np.concatenate([gaps[1:], gaps[:1, ::-1]])
+    m = as_matrix(a)
+    h, k = hermitian_parts(m)
+    thetas, lams = _circle_sweep(m, 2 * _FLAT_GRID)
+    ring = np.diff(lams, axis=-1)
+    gaps, after, before = ring[:_FLAT_GRID], ring[1 : _FLAT_GRID + 1], ring[np.arange(-1, _FLAT_GRID - 1)]
+    near = np.minimum(before, after)
     step = np.pi / _FLAT_GRID
     rate = _weyl_rate(lams)
     slack = tol * max(1.0, rate / 2.0)
-    rows, js = np.nonzero((gaps <= before) & (gaps <= after) & (gaps <= rate * step + slack))
+    rows, js = np.nonzero(((gaps <= near) | (near == 0.0)) & (gaps <= rate * step + slack))
     th_raw, mu_raw = _newton_min(h, k, thetas[rows], step, js, rate, slack, tol)
     th = np.mod(th_raw, np.pi)
     mu = np.where(th == th_raw, mu_raw, -mu_raw)  # the pencil at theta -+ pi is minus the one at theta
@@ -364,6 +348,11 @@ def entry_condition_rhs(t) -> dict:
 _LABELS = "abcdefg"
 
 
+def _check_roles(roles) -> None:
+    if sorted(roles) != list(range(5)):
+        raise ValueError(f"roles must be a permutation of the positions 0..4, got {roles}")
+
+
 def _report_from(lhs: dict, rhs: dict, extra: tuple = ()) -> ConditionReport:
     rows = [
         ConditionRow(lab, complex(lhs[lab]), complex(rhs[lab]), abs(lhs[lab] - rhs[lab]))
@@ -380,8 +369,10 @@ def two_ellipse_report(t, roles, r: float, s: float) -> ConditionReport:
     roles is a tuple of diagonal positions (p, q, t, v, w); r pairs with
     the (p, q) foci and s with (t, v).  The target's correction cubic is
     l_w (r^2 l_t l_v + s^2 l_p l_q - (r^2 s^2/4)(x^2+y^2)).  All residuals
-    vanish exactly when the factorization holds.
+    vanish exactly when the factorization holds.  roles must be a
+    permutation of 0..4 (ValueError otherwise).
     """
+    _check_roles(roles)
     tm = _check_upper_5x5(t)
     lp, lq, lt, lv, lw = (_lin(tm[i, i]) for i in roles)
     r2, s2 = float(r) ** 2, float(s) ** 2
@@ -399,9 +390,11 @@ def flat_report(t, roles, r: float, theta: float, mu: float, tol: float = DEFAUL
     r^2 F + 4 l_p l_q G with G the linear form of `_flat_linear`.
     Rows (h) and (i) are predicates: residual 0 when the disequality
     holds with margin above tol, else 1, with the margin stored as lhs.
-    tol must be finite and positive.
+    roles must be a permutation of 0..4 and tol finite and positive
+    (ValueError otherwise).
     """
     _check_tol(tol)
+    _check_roles(roles)
     tm = _check_upper_5x5(t)
     lam = np.diag(tm)
     p_, q_, t_, v_, w_ = roles

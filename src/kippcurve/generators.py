@@ -66,8 +66,8 @@ def flat_3x3(l3, l4, l5, theta: float, mu: float, phase_a: float = 0.0, phase_b:
     """Upper-triangular 3x3 whose Kippenhahn curve has a flat portion.
 
     The superdiagonal moduli are pinned by the shifted weights
-    mu_j = Re(e^{-i theta} l_j) + mu, which must all be positive
-    (InfeasibleMu otherwise); then Re(e^{-i theta} A) + mu I is a
+    mu_j = Re(e^{-i theta} l_j) + mu, which must all be finite and
+    positive (InfeasibleMu otherwise); then Re(e^{-i theta} A) + mu I is a
     rank-one positive matrix, so the line supporting W(A) at angle
     theta + pi touches along a segment.  phase_a and phase_b rotate
     the two free entries; the third entry's phase is then forced.
@@ -77,8 +77,8 @@ def flat_3x3(l3, l4, l5, theta: float, mu: float, phase_a: float = 0.0, phase_b:
     mu = float(mu)
     w = np.exp(-1j * theta)
     mus = (w * lam).real + mu
-    if not np.min(mus) > 0.0:  # nan fails too
-        raise InfeasibleMu(f"shifted weights {mus} must all be positive")
+    if not np.all((0.0 < mus) & (mus < np.inf)):  # nan fails too
+        raise InfeasibleMu(f"shifted weights {mus} must all be finite and positive")
     m3, m4, m5 = mus
     a = 2.0 * np.sqrt(m3 * m4) * np.exp(1j * phase_a)
     b = 2.0 * np.sqrt(m3 * m5) * np.exp(1j * phase_b)

@@ -26,8 +26,8 @@ whose top-eigenvalue column is the boundary of W(A).
 
 The pencil at t + pi is minus the one at t, so a sweep over an even grid
 of [0, 2 pi) diagonalizes only its angles in [0, pi) (`_circle_sweep`,
-behind `_sweep`, `curve_points` and `classify.fit_disc`): 2n + 2 angles
-cost n + 1 eigensolves.
+behind `_sweep`, `curve_points`, `classify.fit_disc` and
+`classify.detect_flat`): 2n + 2 angles cost n + 1 eigensolves.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ def _pencil(h: np.ndarray, k: np.ndarray, thetas) -> np.ndarray:
 
     Every spectral computation of the package diagonalizes this stack with
     one batched eigensolve.  The pencil at theta + pi is minus the one at
-    theta, so none diagonalizes both: `_circle_sweep` and
-    `classify.detect_flat` diagonalize angles in [0, pi) only.
+    theta, so none diagonalizes both: `_circle_sweep` diagonalizes angles
+    in [0, pi) only.
     """
     th = np.asarray(thetas, dtype=float)[..., None, None]
     return np.cos(th) * h + np.sin(th) * k

@@ -1,5 +1,8 @@
 """Tests for disc fitting, factor peeling, flat detection, and the reports."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -481,6 +484,27 @@ class TestFlatDrop:
             cands = list(zip(th.tolist(), mu.tolist()))
             assert classify_mod._dedupe(cands) == pairwise(cands)
 
+    def test_crossings_at_the_ends_of_a_repeated_eigenvalue(self):
+        # the gaps inside the triple 0.3 are exactly 0 at every angle; where
+        # 0.3 cos t meets 0.4 sin t (tan t = 3/4) or -0.2 cos t + 0.1 sin t
+        # (tan t = 5), the next gap ends on a run of exact zeros
+        found = detect_flat(np.diag([0.3, 0.3, 0.3, -0.2 + 0.1j, 0.4j]))
+        for theta in (np.arctan(0.75), np.arctan(5.0)):
+            mu = -0.3 * np.cos(theta)
+            assert min(max(abs(t - theta), abs(m - mu)) for t, m in found) < 1e-6
+
+    def test_matches_golden_directions(self):
+        # the directions behind FLAT_DROP_COUNTS, value by value
+        golden = json.loads((Path(__file__).parent / "golden" / "detect_flat_drop_inputs.json").read_text())
+        inputs = flat_drop_inputs()
+        for tol in (1e-9, 1e-7):
+            want = golden[repr(tol)]
+            assert len(want) == len(inputs)
+            for a, dirs in zip(inputs, want):
+                got = detect_flat(a, tol)
+                assert len(got) == len(dirs)
+                assert np.allclose(np.reshape(got, (-1, 2)), np.reshape(dirs, (-1, 2)), rtol=0.0, atol=1e-12)
+
     def test_every_collision_is_a_node(self):
         # a collision of two analytic eigenvalue branches is a double root
         # of p(cos t, sin t, .), so p and its gradient vanish there, on the
@@ -525,6 +549,17 @@ class TestReports:
         a = two_ellipse_block(*lams, 0.8, 0.55)
         rep = two_ellipse_report(a, (0, 2, 1, 3, 4), 0.8, 0.55)
         assert rep.max_residual > 1e-3
+
+    @pytest.mark.parametrize("roles", [(0, 0, 1, 2, 3), (0, 1, 2, 3, -1), (0, 1, 2, 3, 5), (0, 1, 2, 3)])
+    def test_roles_not_a_permutation_rejected(self, roles):
+        # a repeated position gave a meaningless report, -1 read position 4
+        # and 5 raised IndexError
+        f3 = flat_3x3(0.2, 0.1 + 0.3j, -0.1 - 0.2j, 0.0, 0.5)
+        a = scipy.linalg.block_diag(np.array([[0.3 + 0.1j, 0.7], [0.0, -0.2j]]), f3)
+        with pytest.raises(ValueError, match="permutation"):
+            two_ellipse_report(a, roles, 0.8, 0.55)
+        with pytest.raises(ValueError, match="permutation"):
+            flat_report(a, roles, 0.7, 0.0, 0.5)
 
     def test_flat_planted(self):
         theta, mu = 0.0, 0.5

@@ -107,8 +107,8 @@ class TestFlat3x3:
         # mu = 0.05 makes Re(l5) + mu negative
         with pytest.raises(InfeasibleMu):
             flat_3x3(self.L3, self.L4, self.L5, 0.0, 0.05)
-        # nan weights are not positive either
-        for theta, mu in ((0.0, np.nan), (np.nan, 0.5)):
+        # nan weights are not positive either, and infinite ones would build nan entries
+        for theta, mu in ((0.0, np.nan), (np.nan, 0.5), (0.0, np.inf)):
             with pytest.raises(InfeasibleMu):
                 flat_3x3(self.L3, self.L4, self.L5, theta, mu)
 
