@@ -18,22 +18,14 @@ from .errors import (
     KippError,
     NegativeMinorAxisSquared,
     NotDim5,
-    NotPartialIsometry,
     NotUpperTriangular,
     ParameterOutOfDisc,
 )
 from .linalg import (
     DEFAULT_TOL,
-    PartialIsometryBlocks,
     SchurForm,
     as_matrix,
-    block_form,
     hermitian_parts,
-    is_class_sn,
-    is_irreducible,
-    is_partial_isometry,
-    kernel_dimension,
-    reduce_partial_isometry,
     schur_triangularize,
 )
 from .homopoly import HomoPoly3, max_abs_coeff, max_coeff_diff

@@ -21,10 +21,6 @@ class NotUpperTriangular(KippError):
     """Operation requires an upper-triangular input."""
 
 
-class NotPartialIsometry(KippError):
-    """Input fails the partial-isometry test at the requested tolerance."""
-
-
 class IllConditionedInterpolation(KippError):
     """A z-layer fit of the eigenvalue sweep left a residual above its bound."""
 

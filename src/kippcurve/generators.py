@@ -26,8 +26,10 @@ def two_ellipse_block(l1, l2, l3, l4, l5, r: float, s: float) -> np.ndarray:
     [[l1, r], [0, l2]] (+) [[l3, s], [0, l4]] (+) [l5].  The numerical
     range is the convex hull of an ellipse with foci l1, l2 and minor
     axis r, an ellipse with foci l3, l4 and minor axis s, and the point
-    l5.
+    l5.  Every input must be finite (ParameterOutOfDisc otherwise).
     """
+    if not np.all(np.isfinite(np.array([l1, l2, l3, l4, l5, r, s], dtype=complex))):
+        raise ParameterOutOfDisc("two-ellipse entries must all be finite")
     b1 = np.array([[l1, r], [0.0, l2]], dtype=complex)
     b2 = np.array([[l3, s], [0.0, l4]], dtype=complex)
     return scipy.linalg.block_diag(b1, b2, np.array([[l5]], dtype=complex))
@@ -71,8 +73,12 @@ def flat_3x3(l3, l4, l5, theta: float, mu: float, phase_a: float = 0.0, phase_b:
     rank-one positive matrix, so the line supporting W(A) at angle
     theta + pi touches along a segment.  phase_a and phase_b rotate
     the two free entries; the third entry's phase is then forced.
+    The eigenvalues and phases must be finite (ParameterOutOfDisc
+    otherwise); a non-finite theta or mu leaves a weight non-finite.
     """
     lam = np.array([complex(l3), complex(l4), complex(l5)])
+    if not np.all(np.isfinite(np.append(lam, [phase_a, phase_b]))):
+        raise ParameterOutOfDisc("eigenvalues and phases must be finite")
     theta = float(theta)
     mu = float(mu)
     w = np.exp(-1j * theta)

@@ -402,6 +402,8 @@ def _check_config(config: CampaignConfig) -> None:
     # every check a config can fail, so that none fails after the first trial
     if config.n_trials <= 0:
         raise ValueError("n_trials must be positive")
+    if config.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {config.seed}")
     _check_tol(config.tol_disc, "tol_disc")
     _check_tol(config.tol_center, "tol_center")
     if config.samples < MIN_DISC_SAMPLES:
@@ -419,8 +421,8 @@ def conjecture_campaign(config: CampaignConfig) -> tuple[list, CampaignSummary]:
     no flat candidate shows up on the contraction-family fixtures.
     Tolerances that are not finite and positive would decide nothing
     and are rejected, as are fewer than `MIN_DISC_SAMPLES` support
-    samples and kernel dimensions that no trial could draw, all before
-    the first trial.
+    samples, kernel dimensions that no trial could draw and a negative
+    seed, all before the first trial.
     """
     _check_config(config)
     children = np.random.SeedSequence(config.seed).spawn(config.n_trials)

@@ -23,7 +23,7 @@ from kippcurve.classify import (
     matched_reports,
     two_ellipse_report,
 )
-from kippcurve.errors import NegativeMinorAxisSquared
+from kippcurve.errors import NegativeMinorAxisSquared, NotDim5
 from kippcurve.generators import (
     flat_3x3,
     haar_unitary,
@@ -699,6 +699,10 @@ class TestClassifyCurve:
         a = two_ellipse_block(0.3 + 0.1j, -0.2j, 0.1 - 0.3j, 0.25, -0.35, 0.8, 0.55)
         with pytest.raises(ValueError):
             classify_curve(a, tol=tol)
+
+    def test_non_5x5_rejected(self):
+        with pytest.raises(NotDim5):
+            classify_curve(jordan_shift(4))
 
     def test_irreducible_quintic_unclassified(self):
         comps = classify_curve(s5_family(0.4, 0.3 + 0.2j, 0.3 - 0.2j))

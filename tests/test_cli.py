@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from kippcurve import formats
 from kippcurve.classify import fit_disc
 from kippcurve.cli import main
-from kippcurve.generators import flat_3x3, jordan_shift, two_ellipse_block
+from kippcurve.generators import flat_3x3, jordan_shift, s5_family, two_ellipse_block
 from kippcurve.homopoly import HomoPoly3, max_coeff_diff
 from kippcurve.harness import CampaignConfig, campaign_id
 from kippcurve.kippenhahn import boundary_polyline, kipp_poly_det
@@ -143,6 +143,14 @@ def test_boundary_csv_and_svg_from_one_sweep(runner, j5_file, tmp_path, count_ei
     assert target.read_text() == render_svg(jordan_shift(5), samples=16)
 
 
+def test_boundary_out_file_equals_stdout(runner, j5_file, tmp_path):
+    target = tmp_path / "boundary.csv"
+    res = runner.invoke(main, ["boundary", j5_file, "--samples", "16", "--out", str(target)])
+    assert res.exit_code == 0
+    assert res.output == ""
+    assert target.read_text() == runner.invoke(main, ["boundary", j5_file, "--samples", "16"]).output
+
+
 def test_malformed_matrix_file(runner, tmp_path):
     # exit code 1 means "violations found", so bad input must never end there
     path = tmp_path / "bad.json"
@@ -215,6 +223,16 @@ class TestGenerate:
         axes = sorted(c["minorAxis"] for c in doc["components"] if c["kind"] == "ellipse")
         assert abs(axes[0] - 0.55) < 1e-8
         assert abs(axes[1] - 0.8) < 1e-8
+
+    def test_s5_round_trip(self, runner, tmp_path):
+        target = tmp_path / "s5.json"
+        args = ["generate", "s5", "--a", "0.4", "--b", "0.3+0.2j", "--c", "0.3-0.2j"]
+        assert runner.invoke(main, [*args, "--out", str(target)]).exit_code == 0
+        want = s5_family(0.4, 0.3 + 0.2j, 0.3 - 0.2j)
+        assert np.array_equal(formats.load_matrix(target), want)
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        assert json.loads(res.stdout) == formats.matrix_to_json(want)
 
     def test_s5_param_guard(self, runner):
         res = runner.invoke(main, ["generate", "s5", "--a", "1.5", "--b", "0", "--c", "0"])
@@ -290,11 +308,23 @@ class TestCampaignCommand:
         assert not any(tmp_path.iterdir())
 
     def test_bad_ker_dims(self, runner, tmp_path):
+        for dims in ("2,9", "1,x"):
+            res = runner.invoke(
+                main,
+                ["campaign", "--trials", "3", "--ker-dims", dims, "--runs-dir", str(tmp_path)],
+            )
+            assert res.exit_code == 2
+
+    def test_center_violation_exits_1(self, runner, tmp_path):
+        # the Jordan fixture of trial 0 is a disc centered within roundoff of 0, not within 1e-300
         res = runner.invoke(
             main,
-            ["campaign", "--trials", "3", "--ker-dims", "2,9", "--runs-dir", str(tmp_path)],
+            ["campaign", "--trials", "1", "--tol-center", "1e-300", "--runs-dir", str(tmp_path)],
         )
-        assert res.exit_code == 2
+        assert res.exit_code == 1
+        doc = json.loads(res.output)
+        assert doc["violations"] == [0]
+        assert doc["passed"] is False
 
     def test_env_runs_dir(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("KIPP_RUNS_DIR", str(tmp_path / "env_runs"))

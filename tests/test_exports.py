@@ -17,14 +17,6 @@ import kippcurve
 
 BENCH = Path(__file__).resolve().parents[1] / "kippbench"
 
-# the structure checks that the targeted circular-range search is to call
-AWAITING_CALLER = {
-    "is_class_sn",
-    "is_irreducible",
-    "kernel_dimension",
-    "reduce_partial_isometry",
-}
-
 
 def _public(module) -> set:
     return {name for name, value in vars(module).items() if not (name.startswith("_") or isinstance(value, ModuleType))}
@@ -52,7 +44,7 @@ def _called() -> set:
 def test_every_export_has_a_caller():
     called = _called()
     uncalled = {name for name in _public(kippcurve) if name not in called}
-    assert uncalled == AWAITING_CALLER
+    assert uncalled == set()
 
 
 def _is_click_command(node) -> bool:
@@ -77,7 +69,7 @@ def _defined(path) -> set:
 def test_every_submodule_definition_has_a_caller():
     defined = set().union(*(_defined(p) for p in _sources()))
     assert {"fit_disc", "DISC_TOL", "CampaignConfig"} <= defined
-    assert defined - _called() == AWAITING_CALLER
+    assert defined - _called() == set()
 
 
 def test_all_is_the_public_namespace():

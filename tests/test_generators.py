@@ -13,7 +13,13 @@ from kippcurve.generators import (
     s5_family,
     two_ellipse_block,
 )
-from kippcurve.linalg import is_class_sn, is_partial_isometry, kernel_dimension
+
+
+def _assert_partial_isometry(m, kernel_dim):
+    # singular values 1 (n - kernel_dim times) and 0 (kernel_dim times)
+    sv = np.sort(np.linalg.svd(m, compute_uv=False))
+    want = np.concatenate([np.zeros(kernel_dim), np.ones(m.shape[0] - kernel_dim)])
+    assert np.allclose(sv, want, rtol=0.0, atol=1e-9)
 
 
 def test_jordan_shift_structure():
@@ -21,7 +27,7 @@ def test_jordan_shift_structure():
     assert j.shape == (4, 4)
     assert np.array_equal(j, np.diag(np.ones(3), 1))
     assert np.max(np.abs(np.linalg.matrix_power(j, 4))) == 0.0
-    assert is_partial_isometry(j)
+    _assert_partial_isometry(j, 1)
 
 
 def test_jordan_shift_needs_two():
@@ -39,6 +45,13 @@ def test_two_ellipse_block_layout():
     assert np.count_nonzero(m) == 7
 
 
+def test_two_ellipse_block_rejects_nonfinite():
+    with pytest.raises(ParameterOutOfDisc):
+        two_ellipse_block(0, 0, 0, 0, 0, np.nan, 1)
+    with pytest.raises(ParameterOutOfDisc):
+        two_ellipse_block(0, complex(0.0, np.inf), 0, 0, 0, 0.5, 1)
+
+
 class TestS5Family:
     def test_spectrum(self):
         a, b, c = 0.4, 0.3 + 0.2j, 0.3 - 0.2j
@@ -51,7 +64,11 @@ class TestS5Family:
         m = s5_family(0.4, 0.3 + 0.2j, 0.3 - 0.2j)
         sv = np.sort(np.linalg.svd(m, compute_uv=False))
         assert np.allclose(sv, [0.0, 1.0, 1.0, 1.0, 1.0], atol=1e-10)
-        assert is_class_sn(m)
+        # class S_5: a contraction with its spectrum inside the disc and a rank-one defect I - A*A
+        assert sv[-1] <= 1.0 + 1e-9
+        assert np.max(np.abs(np.linalg.eigvals(m))) < 1.0 - 1e-9
+        defect = np.linalg.svd(np.eye(5) - m.conj().T @ m, compute_uv=False)
+        assert np.sum(defect > 1e-9) == 1
 
     def test_whole_admissible_range(self):
         for a in np.linspace(0.0, 0.9, 7):
@@ -112,6 +129,14 @@ class TestFlat3x3:
             with pytest.raises(InfeasibleMu):
                 flat_3x3(self.L3, self.L4, self.L5, theta, mu)
 
+    def test_nonfinite_phase_or_eigenvalue(self):
+        with pytest.raises(ParameterOutOfDisc):
+            flat_3x3(self.L3, self.L4, self.L5, 0.0, 0.5, phase_a=np.inf)
+        with pytest.raises(ParameterOutOfDisc):
+            flat_3x3(self.L3, self.L4, self.L5, 0.0, 0.5, phase_b=np.nan)
+        with pytest.raises(ParameterOutOfDisc):
+            flat_3x3(self.L3, complex(0.1, np.inf), self.L5, 0.0, 0.5)
+
 
 def test_haar_unitary():
     rng = np.random.default_rng(40)
@@ -127,8 +152,12 @@ class TestRandomPartialIsometry:
     def test_properties(self):
         for kd in (0, 1, 2, 3):
             m = random_partial_isometry(5, kd, seed=kd + 100)
-            assert is_partial_isometry(m)
-            assert kernel_dimension(m) == kd
+            _assert_partial_isometry(m, kd)
+
+    def test_singular_values_in_zero_one(self):
+        m = random_partial_isometry(5, 2, seed=12)
+        sv = np.linalg.svd(m, compute_uv=False)
+        assert np.all((np.abs(sv - 1) < 1e-9) | (np.abs(sv) < 1e-9))
 
     def test_deterministic(self):
         a = random_partial_isometry(6, 2, seed=7)
@@ -149,8 +178,7 @@ class TestKer2Family:
         m = ker2_family(seed=11)
         assert m.shape == (5, 5)
         assert np.max(np.abs(m[:, :2])) == 0.0
-        assert is_partial_isometry(m)
-        assert kernel_dimension(m) == 2
+        _assert_partial_isometry(m, 2)
 
     def test_default_merges_all_three(self):
         # by default the single eigenvalue b is planted equal to the double a

@@ -224,10 +224,10 @@ class TestPersistence:
             run_campaign(CampaignConfig(n_trials=30, seed=5), root=blocker / "runs")
         assert trials == []
 
-    @pytest.mark.parametrize("bad", [{"samples": 8}, {"tol_disc": 0.0}, {"ker_dims": (7,)}])
+    @pytest.mark.parametrize("bad", [{"samples": 8}, {"tol_disc": 0.0}, {"ker_dims": (7,)}, {"seed": -1}])
     def test_invalid_config_creates_nothing(self, tmp_path, bad):
         with pytest.raises(ValueError):
-            run_campaign(CampaignConfig(n_trials=3, seed=1, **bad), root=tmp_path / "runs")
+            run_campaign(CampaignConfig(**{"n_trials": 3, "seed": 1, **bad}), root=tmp_path / "runs")
         assert not (tmp_path / "runs").exists()
 
     def test_campaign_id_depends_on_config(self):
