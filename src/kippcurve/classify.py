@@ -9,24 +9,20 @@ where an ellipse with foci li, lj and minor axis r corresponds to the
 quadratic l_i l_j - (r^2/4)(x^2 + y^2), a point to a linear factor, and
 the flat cubic is a degree-3 factor whose dual curve carries a line
 segment, matched at the directions where `detect_flat` finds two
-adjacent pencil eigenvalues colliding (each gap scanned on its own
-around the circle by the folded `_circle_sweep` and refined by
-safeguarded Newton steps on its Hellmann-Feynman slope, brackets that
-Weyl's bound rules out dropped).
-`classify_curve` peels these factors off numerically, each
-by synthetic division (`homopoly.divide`) of the polynomial's
-coefficient array by a linear or conic form monic in z, after `_screen`
-has ruled out on the pencil's sweep eigenvalues the candidates whose
-division could not succeed, and all model
-polynomials here are built as products of coefficient arrays;
+adjacent pencil eigenvalues colliding.  `classify_curve` peels these
+factors off numerically, each by synthetic division (`homopoly.divide`)
+of the polynomial's coefficient array by a linear or conic form monic in
+z, after `_screen` has ruled out on the pencil's sweep eigenvalues the
+candidates whose division could not succeed; all model polynomials here
+are built as products of coefficient arrays.
 `two_ellipse_report` and `flat_report` evaluate the exact coefficient
 identities that characterize each factorization for upper-triangular
 input, labelled (a) through (g) plus the flat-case disequalities (h),
 (i).  Rows (a)..(g) are coefficients of the correction cubic Q in
 p = prod L_i - ((x^2+y^2)/4) Q: the entry side reads them off the
 closed-form Q of the matrix, the left side off the Q of the target
-factorization.  `fit_disc` fits a circular support function, which is
-how the search harness decides circularity of the numerical range.
+factorization.  `fit_disc` projects the support function onto a circle,
+which is how the search harness decides circularity of the numerical range.
 """
 
 from __future__ import annotations
@@ -52,6 +48,12 @@ def _check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and positive, got {tol}")
 
 
+def _check_finite(**params) -> None:
+    for name, value in params.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 # --- circular support fit ---
 
 
@@ -65,23 +67,22 @@ class DiscFit:
 
 
 def fit_disc(a, samples: int = 64) -> DiscFit:
-    """Least-squares circle fit to the support function on an even angle grid.
+    """Least-squares circle fit to the support function on an equispaced angle grid.
 
     The support function h(theta) is the top eigenvalue of the pencil at
-    theta, and h(theta + pi) is minus its bottom one, since the pencil at
-    theta + pi is minus the one at theta; so an even samples costs
-    samples / 2 eigensolves (`_circle_sweep`).  The residual is the max
-    deviation of h from the fitted model; it is only small when W(A) is a
-    disc.  Fewer than MIN_DISC_SAMPLES samples raise ValueError.
+    theta, sampled by one `_circle_sweep`.  On the grid 1, cos and sin are
+    orthogonal, so the fit is a projection: the radius is the mean of h and
+    the center twice the mean of h(theta) e^{i theta}.  The residual, the
+    max deviation of h from the fit, is h projected off {1, cos, sin}; it is
+    only small when W(A) is a disc.  Fewer than MIN_DISC_SAMPLES samples raise ValueError.
     """
     if samples < MIN_DISC_SAMPLES:
         raise ValueError(f"samples must be at least {MIN_DISC_SAMPLES}, got {samples}")
     thetas, lams = _circle_sweep(as_matrix(a), samples)
-    h = lams[:, -1]
-    design = np.stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, h, rcond=None)
-    resid = float(np.max(np.abs(design @ coef - h)))
-    return DiscFit(complex(coef[1], coef[2]), float(coef[0]), resid)
+    h, phase = lams[:, -1], np.exp(1j * thetas)
+    radius, center = float(np.mean(h)), complex(2.0 * np.mean(h * phase))
+    resid = float(np.max(np.abs(radius + (phase.conj() * center).real - h)))
+    return DiscFit(center, radius, resid)
 
 
 def disc_verdict(fit: DiscFit, tol_disc: float = DISC_TOL) -> bool:
@@ -97,8 +98,9 @@ def divide_linear(p: HomoPoly3, lam) -> tuple[HomoPoly3, float]:
     """Synthetic division of p by the monic linear form z + Re(lam) x + Im(lam) y.
 
     Returns (quotient, residual) with the residual being the max-norm of
-    the remainder's coefficients relative to p's.
+    the remainder's coefficients relative to p's.  lam must be finite.
     """
+    _check_finite(lam=lam)
     if p.degree < 1:
         raise ValueError("cannot divide a constant")
     quot, rem = divide(p.c, _lin(complex(lam)))
@@ -122,9 +124,10 @@ def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
     candidates that divide exactly, the largest t wins (outermost
     component first).  Raises NegativeMinorAxisSquared when the best t
     is decisively negative.  Returns (r, quotient, residual) with the
-    residual relative to p.  tol must be finite and positive.
+    residual relative to p.  tol must be finite and positive, the foci finite.
     """
     _check_tol(tol)
+    _check_finite(li=li, lj=lj)
     li, lj = complex(li), complex(lj)
     if not 2 <= p.degree <= 5:
         raise ValueError("need degree 2..5 to remove a conic factor")
@@ -197,7 +200,7 @@ def _newton_min(h, k, x: np.ndarray, step: float, j: np.ndarray, rate: float, sl
 
     Each step diagonalizes the pencil at every live iterate x with one
     stacked eigh, for the gap g = lam_{j+1} - lam_j and, by Hellmann-Feynman,
-    its slope g' = u_{j+1}* D u_{j+1} - u_j* D u_j, D = -sin x H + cos x K.
+    its slope g' = u_{j+1}* D u_{j+1} - u_j* D u_j, D the pencil at x + pi/2.
     The sign of g' moves one end of the bracket [a, b] to x, and the next
     iterate is the Newton point x - g / g', or the midpoint of [a, b] when
     that leaves (a, b).  At a true crossing g is V-shaped, and one step
@@ -224,7 +227,7 @@ def _newton_min(h, k, x: np.ndarray, step: float, j: np.ndarray, rate: float, sl
         g = pair[:, 1] - pair[:, 0]
         big = np.maximum(-lams[:, 0], lams[:, -1])  # largest |lam|
         u = vecs[rows, :, jj]  # u[m, c] is the eigenvector of lam_{jj[m, c]}
-        d = np.cos(x)[:, None, None] * k - np.sin(x)[:, None, None] * h
+        d = _pencil(h, k, x + np.pi / 2.0)  # d/dx of the pencil at x
         du = np.einsum("mci,mij,mcj->mc", u.conj(), d, u).real
         slope = du[:, 1] - du[:, 0]
         probe = np.stack([g, np.maximum(1.0, big), x, -(pair[:, 0] + pair[:, 1]) / 2.0])
@@ -370,8 +373,9 @@ def two_ellipse_report(t, roles, r: float, s: float) -> ConditionReport:
     the (p, q) foci and s with (t, v).  The target's correction cubic is
     l_w (r^2 l_t l_v + s^2 l_p l_q - (r^2 s^2/4)(x^2+y^2)).  All residuals
     vanish exactly when the factorization holds.  roles must be a
-    permutation of 0..4 (ValueError otherwise).
+    permutation of 0..4 and r, s finite (ValueError otherwise).
     """
+    _check_finite(r=r, s=s)
     _check_roles(roles)
     tm = _check_upper_5x5(t)
     lp, lq, lt, lv, lw = (_lin(tm[i, i]) for i in roles)
@@ -390,10 +394,11 @@ def flat_report(t, roles, r: float, theta: float, mu: float, tol: float = DEFAUL
     r^2 F + 4 l_p l_q G with G the linear form of `_flat_linear`.
     Rows (h) and (i) are predicates: residual 0 when the disequality
     holds with margin above tol, else 1, with the margin stored as lhs.
-    roles must be a permutation of 0..4 and tol finite and positive
-    (ValueError otherwise).
+    roles must be a permutation of 0..4, r, theta and mu finite and tol
+    finite and positive (ValueError otherwise).
     """
     _check_tol(tol)
+    _check_finite(r=r, theta=theta, mu=mu)
     _check_roles(roles)
     tm = _check_upper_5x5(t)
     lam = np.diag(tm)
@@ -624,7 +629,7 @@ def matched_reports(a, components, tol: float = DEFAULT_TOL) -> list:
     m = as_matrix(a)
     if m.shape[0] != 5:
         return []
-    schur = schur_triangularize(m, order="lex")
+    schur = schur_triangularize(m)
     tm, eigs = schur.triangular, schur.eigenvalues
     pts = [c for c in components if c.kind == "point"]
     ells = [c for c in components if c.kind == "ellipse"]

@@ -244,7 +244,7 @@ def gen_flat3(l3, l4, l5, theta, mu, phase_a, phase_b, out):
 @generate.command("pi")
 @click.option("--n", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--ker", type=click.IntRange(min=0), required=True, help="kernel dimension")
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
 def gen_pi(n, ker, seed, out):
@@ -254,7 +254,7 @@ def gen_pi(n, ker, seed, out):
 
 
 @generate.command("ker2")
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--distinct-top", is_flag=True, help="draw the repeated eigenvalue independently")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
@@ -276,7 +276,7 @@ def gen_jordan(n, out):
 
 @main.command()
 @click.option("--trials", type=click.IntRange(min=1), required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--ker-dims", default=",".join(map(str, CampaignConfig.ker_dims)), show_default=True,
               help="comma-separated kernel dimensions to draw from")
 @click.option("--structured/--no-structured", default=CampaignConfig.include_structured, show_default=True,
@@ -318,7 +318,7 @@ def campaign(trials, seed, ker_dims, structured, tol_disc, tol_center, samples, 
 
 @main.command()
 @click.option("--count", default=50, show_default=True, type=click.IntRange(min=1), help="random matrices per oracle suite")
-@click.option("--seed", type=int, default=1234, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=1234, show_default=True)
 @_guard
 def identities(count, seed):
     """Cross-check the eigenvalue-sweep and closed-form routes plus the family identities."""

@@ -31,8 +31,8 @@ def pair(z) -> list:
 
 def matrix_to_json(m) -> dict:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("entries must be finite")
     return {

@@ -20,14 +20,14 @@ serves as an oracle for the other.
 The closed form is prod L_i - ((x^2+y^2)/4) Q with L_i the linear
 forms of the diagonal and Q a cubic in the entries (`_correction_cubic`);
 the factorization condition reports in `classify` read their entry side
-off Q's coefficients.  Also here: the one function that builds the pencil
-stack, and the one eigenvector sweep that samples the curve's points,
-whose top-eigenvalue column is the boundary of W(A).
+off Q's coefficients.
 
-The pencil at t + pi is minus the one at t, so a sweep over an even grid
-of [0, 2 pi) diagonalizes only its angles in [0, pi) (`_circle_sweep`,
-behind `_sweep`, `curve_points`, `classify.fit_disc` and
-`classify.detect_flat`): 2n + 2 angles cost n + 1 eigensolves.
+`_pencil` is the one function that builds the pencil stack, and
+`_circle_sweep` the one sweep of a grid over [0, 2 pi), behind `_sweep`,
+`curve_points`, `classify.fit_disc` and `classify.detect_flat`.  The
+pencil at t + pi is minus the one at t, so it diagonalizes only the
+angles in [0, pi) of an even grid, and an odd grid is every other angle
+of the even grid twice its size.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ def _pencil(h: np.ndarray, k: np.ndarray, thetas) -> np.ndarray:
     """cos(theta) H + sin(theta) K, stacked over the shape of thetas.
 
     Every spectral computation of the package diagonalizes this stack with
-    one batched eigensolve.  The pencil at theta + pi is minus the one at
-    theta, so none diagonalizes both: `_circle_sweep` diagonalizes angles
-    in [0, pi) only.
+    one batched eigensolve.  Its derivative in theta is the stack at
+    theta + pi/2, which `classify._newton_min` builds for its slopes.
     """
     th = np.asarray(thetas, dtype=float)[..., None, None]
     return np.cos(th) * h + np.sin(th) * k
@@ -71,11 +70,14 @@ def _circle_sweep(m: np.ndarray, samples: int, points: bool = False) -> tuple[np
     even samples, row t + samples / 2 is at thetas[t] + pi, where the
     pencil is negated: its eigenvalues are row t's negated and reversed,
     its eigenvectors row t's reversed up to a phase that u* m u ignores.
-    Only the first half is diagonalized; an odd samples is swept in full.
+    Only the first half is diagonalized.  An odd samples is every other
+    angle of the grid of 2 samples, so it is that grid's sweep, thinned.
     """
+    if samples % 2:
+        thetas, rows = _circle_sweep(m, 2 * samples, points)
+        return thetas[::2], rows[::2]
     thetas = _angles(samples)
-    odd = samples % 2 == 1
-    pencil = _pencil(*hermitian_parts(m), thetas if odd else thetas[: samples // 2])
+    pencil = _pencil(*hermitian_parts(m), thetas[: samples // 2])
     if points:
         _, vecs = np.linalg.eigh(pencil)
         rows = np.einsum("tik,tik->tk", vecs.conj(), m @ vecs)
@@ -83,7 +85,7 @@ def _circle_sweep(m: np.ndarray, samples: int, points: bool = False) -> tuple[np
     else:
         rows = np.linalg.eigvalsh(pencil)
         mirror = -rows[:, ::-1]
-    return thetas, rows if odd else np.concatenate([rows, mirror])
+    return thetas, np.concatenate([rows, mirror])
 
 
 def _sweep(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -152,6 +152,12 @@ class TestDivideLinear:
         for key, c in q.coeffs.items():
             assert abs(quot.coeff(*key) - c) < 1e-10
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, complex(0.1, -np.inf)])
+    def test_nonfinite_point_rejected(self, lam):
+        # an infinite point gave a nan quotient and no error
+        with pytest.raises(ValueError, match="^lam must be finite"):
+            divide_linear(kipp_poly_det(np.diag([0.5, -0.5])), lam)
+
     def test_wrong_eigenvalue_leaves_residual(self):
         p = kipp_poly_det(np.diag([0.5, -0.5]))
         _, resid = divide_linear(p, 0.1 + 0.2j)
@@ -243,6 +249,13 @@ class TestFitEllipseFactor:
         p = kipp_poly_det(two_ellipse_block(l1, l2, 0.1, -0.3, 0.0, 0.8, 0.4))
         with pytest.raises(ValueError, match="tol"):
             fit_ellipse_factor(p, l1, l2, tol)
+
+    @pytest.mark.parametrize("name, li, lj", [("li", np.inf, 0.0), ("lj", 0.3, complex(np.nan, 0.0))])
+    def test_nonfinite_focus_rejected(self, name, li, lj):
+        # an infinite focus gave r = 0 with a nan residual and no error
+        p = kipp_poly_det(two_ellipse_block(0.3 + 0.1j, -0.2 - 0.4j, 0.1, -0.3, 0.0, 0.8, 0.4))
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            fit_ellipse_factor(p, li, lj)
 
     def test_negative_axis_square_raises(self):
         # plant a "conic" factor with t = -1: legitimate polynomial, not an ellipse
@@ -560,6 +573,24 @@ class TestReports:
             two_ellipse_report(a, roles, 0.8, 0.55)
         with pytest.raises(ValueError, match="permutation"):
             flat_report(a, roles, 0.7, 0.0, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["r", "s"])
+    def test_two_ellipse_nonfinite_axis_rejected(self, name, bad):
+        # nan * 0 in the target's product broke HomoPoly3's degree check instead
+        a = two_ellipse_block(0.3 + 0.1j, -0.2j, 0.1 - 0.3j, 0.25, -0.35, 0.8, 0.55)
+        axes = {"r": 0.8, "s": 0.55, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            two_ellipse_report(a, (0, 1, 2, 3, 4), **axes)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["r", "theta", "mu"])
+    def test_flat_nonfinite_parameter_rejected(self, name, bad):
+        f3 = flat_3x3(0.2, 0.1 + 0.3j, -0.1 - 0.2j, 0.0, 0.5)
+        a = scipy.linalg.block_diag(np.array([[0.3 + 0.1j, 0.7], [0.0, -0.2j]]), f3)
+        params = {"r": 0.7, "theta": 0.0, "mu": 0.5, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            flat_report(a, (0, 1, 2, 3, 4), **params)
 
     def test_flat_planted(self):
         theta, mu = 0.0, 0.5

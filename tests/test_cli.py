@@ -342,6 +342,25 @@ def test_identities_command(runner):
     assert doc["ker2"]["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "pi", "--n", "5", "--ker", "2", "--seed", "-1"],
+        ["generate", "ker2", "--seed", "-1"],
+        ["identities", "--count", "5", "--seed", "-3"],
+        ["campaign", "--trials", "3", "--seed", "-1"],
+    ],
+    ids=["pi", "ker2", "identities", "campaign"],
+)
+def test_negative_seed_names_its_option(runner, tmp_path, monkeypatch, args):
+    # these exited 3 with numpy's or the config check's message, which named no option
+    monkeypatch.setenv("KIPP_RUNS_DIR", str(tmp_path))
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert "--seed" in res.output
+    assert not any(tmp_path.iterdir())
+
+
 def test_golden_svg_stable(runner, tmp_path):
     """Rendering the 2x2 shift reproduces the checked-in SVG byte for byte."""
     path = tmp_path / "j2.json"

@@ -79,6 +79,16 @@ def test_non_finite_matrix_not_written(tmp_path, bad):
     assert not path.exists()
 
 
+def test_empty_matrix_not_written(tmp_path):
+    # load_matrix refuses dimension 0, so the writer must not produce it
+    with pytest.raises(ValueError, match="non-empty"):
+        formats.matrix_to_json(np.zeros((0, 0)))
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError):
+        formats.dump_matrix(np.zeros((0, 0)), path)
+    assert not path.exists()
+
+
 def test_poly_terms_sorted_and_pruned():
     p = HomoPoly3.from_terms(2, {(0, 0, 2): 1.0, (2, 0, 0): -0.25, (1, 1, 0): 0.0})
     obj = formats.poly_to_json(p)

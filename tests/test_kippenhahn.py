@@ -351,14 +351,17 @@ def test_second_half_mirrors_first_exactly(samples):
 
 
 @pytest.mark.parametrize("samples", [1, 15, 65, 255])
-def test_odd_samples_sweep_in_full(samples):
+def test_odd_grid_is_every_other_angle_of_twice_its_size(samples):
     a = gaussian(6)
-    lams, pts = direct_sweep(a, samples)
-    assert np.array_equal(_circle_sweep(a, samples)[1], lams)
-    assert np.array_equal(curve_points(a, samples), pts)
+    thetas, lams = _circle_sweep(a, samples)
+    thetas2, lams2 = _circle_sweep(a, 2 * samples)
+    assert np.array_equal(thetas, _angles(samples))
+    assert np.array_equal(thetas, thetas2[::2])
+    assert np.array_equal(lams, lams2[::2])
+    assert np.array_equal(curve_points(a, samples), curve_points(a, 2 * samples)[::2])
 
 
-@pytest.mark.parametrize("samples", [16, 64, 256])
+@pytest.mark.parametrize("samples", [15, 16, 64, 65, 255, 256])
 def test_fold_matches_direct_sweep(samples):
     for n in range(2, 13):
         a = gaussian(n, seed=1)
