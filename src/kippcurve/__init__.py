@@ -38,6 +38,7 @@ from .kippenhahn import (
 from .classify import (
     ConditionReport,
     ConditionRow,
+    Curve,
     DiscFit,
     EllipseComponent,
     FlatQuarticComponent,

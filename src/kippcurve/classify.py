@@ -23,6 +23,8 @@ p = prod L_i - ((x^2+y^2)/4) Q: the entry side reads them off the
 closed-form Q of the matrix, the left side off the Q of the target
 factorization.  `fit_disc` projects the support function onto a circle,
 which is how the search harness decides circularity of the numerical range.
+Both `fit_disc` and `classify_curve` take a stack of matrices as well as
+one, and run their spectral stages once over the whole stack.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import NegativeMinorAxisSquared, NotDim5
 from .homopoly import HomoPoly3, divide, linear, max_abs_coeff, max_coeff_diff, mul
 from .kippenhahn import _E4, _check_upper_5x5, _circle_sweep, _correction_cubic, _fit_sweep, _lin, _pencil, _sweep
-from .linalg import DEFAULT_TOL, as_matrix, hermitian_parts, schur_triangularize
+from .linalg import DEFAULT_TOL, as_matrix, as_stack, hermitian_parts, schur_triangularize
 
 _FLAT_GRID = 256  # detect_flat's scan angles in [0, pi); its folded sweep has twice as many over [0, 2 pi)
 _NEWTON_ITERS = 12  # cap on the safeguarded Newton steps per bracket
@@ -66,7 +68,7 @@ class DiscFit:
     residual: float
 
 
-def fit_disc(a, samples: int = 64) -> DiscFit:
+def fit_disc(a, samples: int = 64) -> DiscFit | list[DiscFit]:
     """Least-squares circle fit to the support function on an equispaced angle grid.
 
     The support function h(theta) is the top eigenvalue of the pencil at
@@ -74,15 +76,19 @@ def fit_disc(a, samples: int = 64) -> DiscFit:
     orthogonal, so the fit is a projection: the radius is the mean of h and
     the center twice the mean of h(theta) e^{i theta}.  The residual, the
     max deviation of h from the fit, is h projected off {1, cos, sin}; it is
-    only small when W(A) is a disc.  Fewer than MIN_DISC_SAMPLES samples raise ValueError.
+    only small when W(A) is a disc.  A stack of matrices is swept at once and
+    gives a list of fits, one matrix one fit.  Fewer than MIN_DISC_SAMPLES
+    samples raise ValueError.
     """
     if samples < MIN_DISC_SAMPLES:
         raise ValueError(f"samples must be at least {MIN_DISC_SAMPLES}, got {samples}")
-    thetas, lams = _circle_sweep(as_matrix(a), samples)
-    h, phase = lams[:, -1], np.exp(1j * thetas)
-    radius, center = float(np.mean(h)), complex(2.0 * np.mean(h * phase))
-    resid = float(np.max(np.abs(radius + (phase.conj() * center).real - h)))
-    return DiscFit(center, radius, resid)
+    ms, single = as_stack(a)
+    thetas, lams = _circle_sweep(ms, samples)
+    h, phase = lams[..., -1], np.exp(1j * thetas)
+    radius, center = np.mean(h, axis=-1), 2.0 * np.mean(h * phase, axis=-1)
+    resid = np.max(np.abs(radius[:, None] + (phase.conj() * center[:, None]).real - h), axis=-1)
+    fits = [DiscFit(*f) for f in zip(center.tolist(), radius.tolist(), resid.tolist())]
+    return fits[0] if single else fits
 
 
 def disc_verdict(fit: DiscFit, tol_disc: float = DISC_TOL) -> bool:
@@ -248,11 +254,26 @@ def _newton_min(h, k, x: np.ndarray, step: float, j: np.ndarray, rate: float, sl
 
 
 def _dedupe(cands) -> list[tuple[float, float]]:
-    """The candidates (theta, mu) in order, but for each within 1e-6 in both of one kept before it, theta mod pi."""
+    """The candidates (theta, mu) in order, but for each within 1e-6 in both of one kept before it, theta mod pi.
+
+    theta lies in [0, pi].  The kept candidates sit in cells of a 1e-6 grid
+    in (theta, mu), so each candidate is compared, by the same rule, only
+    with those in the cells within 1.5e-6 of it, and of theta -+ pi near
+    the wrap; the half-cell margin covers the rounding of the rule's distances.
+    """
+    cell, reach = 1e-6, 1.5e-6
+
+    def span(x: float) -> range:
+        return range(int((x - reach) // cell), int((x + reach) // cell) + 1)
+
+    grid: dict = {}
     out = []
     for th, mu in cands:
-        if not any(min(abs(th - t0), np.pi - abs(th - t0)) < 1e-6 and abs(mu - m0) < 1e-6 for t0, m0 in out):
+        ths = [th] + [th + np.pi] * (th < reach) + [th - np.pi] * (th > np.pi - reach)
+        near = (kept for t in ths for i in span(t) for j in span(mu) for kept in grid.get((i, j), ()))
+        if not any(min(abs(th - t0), np.pi - abs(th - t0)) < 1e-6 and abs(mu - m0) < 1e-6 for t0, m0 in near):
             out.append((th, mu))
+            grid.setdefault((int(th // cell), int(mu // cell)), []).append((th, mu))
     return out
 
 
@@ -485,9 +506,11 @@ def _flat_model(trio, mus, theta: float) -> HomoPoly3:
     return HomoPoly3(mul(mul(lw, lt), lv) - 4.0 * mul(_E4, _flat_linear(trio, mus, theta)))
 
 
-def _screen(eigs, thetas: np.ndarray, lams: np.ndarray, p: HomoPoly3, tol: float):
-    """Which points and foci pairs may divide p, read off the sweep (thetas, lams).
+def _screen(eigs: np.ndarray, thetas: np.ndarray, lams: np.ndarray, coefs: np.ndarray, tol: float):
+    """Which points and foci pairs may divide p, read off the sweep (thetas, lams), for a stack.
 
+    eigs[b], lams[b] and coefs[b] are the eigenvalues, the sweep eigenvalues
+    and the coefficient array of p for matrix b.
     On the unit circle p(cos t, sin t, -w) = P(w) = prod_j (lams[t, j] - w).
     With a_l(t) = cos t Re l + sin t Im l, the point z + L_l leaves the
     remainder P(a_l) at angle t.  The conic on foci l_i, l_j has two roots
@@ -500,27 +523,40 @@ def _screen(eigs, thetas: np.ndarray, lams: np.ndarray, p: HomoPoly3, tol: float
     coefficients below tol |p|, |p| the largest coefficient; the factor
     2^n max(1, rho)^(n-1), rho the largest eigenvalue modulus, covers the
     quotients already peeled off and a conic root off the sweep's
-    eigenvalue.  Returns point_ok[i] for eigs[i] and pair_ok[i, j] for the
-    foci eigs[i], eigs[j], i < j: False where the largest value over the
-    angles (for pairs, of the smallest slope over k) exceeds
+    eigenvalue.  Returns point_ok[b, i] for eigs[b, i] and pair_ok[b, i, j]
+    for the foci eigs[b, i], eigs[b, j], i < j: False where the largest
+    value over the angles (for pairs, of the smallest slope over k) exceeds
     (n+1) 2^n max(1, rho)^(n-1) tol |p|.
     """
-    ls = np.asarray(eigs)
-    n = lams.shape[1]
-    rho = max(1.0, float(np.max(np.abs(lams))))
-    bound = (n + 1) * 2.0**n * rho ** (n - 1) * tol * max_abs_coeff(p)
-    a = np.cos(thetas)[:, None] * ls.real + np.sin(thetas)[:, None] * ls.imag
-    point = np.abs(np.prod(lams[:, None, :] - a[:, :, None], axis=2)).max(axis=0)
+    n = lams.shape[-1]
+    rho = np.maximum(1.0, np.max(np.abs(lams), axis=(1, 2)))
+    pmax = np.max(np.abs(coefs), axis=(1, 2))
+    bound = ((n + 1) * 2.0**n * rho ** (n - 1) * tol * pmax)[:, None]
+    a = np.cos(thetas)[:, None] * eigs.real[:, None] + np.sin(thetas)[:, None] * eigs.imag[:, None]  # [b, t, l]
+    point = np.abs(np.prod(lams[:, :, None, :] - a[..., None], axis=-1)).max(axis=1)
     ia, ib = np.triu_indices(n, 1)
-    partner = (a[:, ia] + a[:, ib])[:, :, None] - lams[:, None, :]  # [t, pair, k]
-    gaps = lams[:, None, None, :] - partner[..., None]  # [t, pair, k, j]
-    gaps[:, :, range(n), range(n)] = 1.0  # the root lams[t, k] itself
-    pair_ok = np.zeros((n, n), dtype=bool)
-    pair_ok[ia, ib] = np.abs(np.prod(gaps, axis=3)).min(axis=2).max(axis=0) <= bound
+    partner = (a[..., ia] + a[..., ib])[..., None] - lams[:, :, None, :]  # [b, t, pair, k]
+    gaps = lams[:, :, None, None, :] - partner[..., None]  # [b, t, pair, k, j]
+    gaps[..., range(n), range(n)] = 1.0  # the root lams[b, t, k] itself
+    pair_ok = np.zeros(eigs.shape + (n,), dtype=bool)
+    pair_ok[:, ia, ib] = np.abs(np.prod(gaps, axis=-1)).min(axis=-1).max(axis=1) <= bound
     return point <= bound, pair_ok
 
 
-def classify_curve(a, tol: float = DEFAULT_TOL) -> list:
+class Curve(list):
+    """One matrix's components in `classify_curve`'s order.
+
+    Its kind is "unclassified" when none of them was recognised and
+    "classified" otherwise, so a stack's list of curves answers kind
+    matrix by matrix as one curve answers it component by component.
+    """
+
+    @property
+    def kind(self) -> str:
+        return "classified" if any(c.kind != "unclassified" for c in self) else "unclassified"
+
+
+def classify_curve(a, tol: float = DEFAULT_TOL) -> Curve | list[Curve]:
     """Decompose the degree-5 Kippenhahn curve into recognized components.
 
     Linear factors at eigenvalues become points, conic factors with the
@@ -528,22 +564,31 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> list:
     against the flat-portion model at every detected collision direction.
     Whatever resists all three stages is reported unclassified with its
     degree.  Components are ordered points, ellipses, then cubic-level
-    components, each sorted deterministically.  tol must be finite and
-    positive.
+    components, each sorted deterministically, in a `Curve`.  A stack of
+    matrices gives a list of curves, one per matrix.  tol must be finite
+    and positive.
 
-    Division decides every factor; `_screen` skips the points and foci
-    pairs that the pencil's eigenvalues rule out, so they are never divided.
+    The eigenvalues, the pencil sweep, its polynomial fit and `_screen`
+    run once over the whole stack.  Division decides every factor, matrix
+    by matrix; `_screen` skips the points and foci pairs that the pencil's
+    eigenvalues rule out, so they are never divided.
     """
     _check_tol(tol)
-    m = as_matrix(a)
-    if m.shape[0] != 5:
+    ms, single = as_stack(a)
+    if ms.shape[-1] != 5:
         raise NotDim5("classification targets 5x5 matrices")
     # as Python complex: _lex_key's round is several times cheaper on Python floats
-    eigs = sorted(np.linalg.eigvals(m).tolist(), key=lambda z: (_lex_key(z), z.real, z.imag))
-    thetas, lams = _sweep(m)
-    cur = _fit_sweep(lams)
-    point_ok, pair_ok = _screen(eigs, thetas, lams, cur, tol)
+    eigs = [sorted(row, key=lambda z: (_lex_key(z), z.real, z.imag)) for row in np.linalg.eigvals(ms).tolist()]
+    thetas, lams = _sweep(ms)
+    coefs = _fit_sweep(lams)
+    point_ok, pair_ok = _screen(np.array(eigs), thetas, lams, coefs, tol)
+    curves = [_peel(*args, tol) for args in zip(ms, eigs, coefs, point_ok, pair_ok)]
+    return curves[0] if single else curves
 
+
+def _peel(m: np.ndarray, eigs: list, coef: np.ndarray, point_ok, pair_ok, tol: float) -> Curve:
+    """`classify_curve`'s components of m from its sorted eigenvalues, polynomial and screen."""
+    cur = HomoPoly3(coef)
     # one pass: z + L_a that does not divide p cannot divide p / (z + L_b)
     points: list[PointComponent] = []
     remaining = []  # positions in eigs
@@ -604,7 +649,7 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> list:
 
     points.sort(key=lambda c: _lex_key(c.location))
     ellipses.sort(key=lambda c: (_lex_key(c.focus1), _lex_key(c.focus2), -c.minor_axis))
-    return [*points, *ellipses, *tail]
+    return Curve([*points, *ellipses, *tail])
 
 
 def _match_positions(eigs, wanted, used: set) -> list[int]:

@@ -8,6 +8,9 @@ the kernel-2 family together with a perturbation control.  The campaign
 generates seeded partial isometries, fits a disc to each support
 function, and records every circular range whose center strays from the
 origin; a clean campaign is evidence for origin-centered circularity.
+It runs in blocks of trials: each trial is drawn on its own child seed,
+and the disc fit and the classification each sweep the block's stack of
+matrices at once.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-# _trial calls the classify stages and the generators through these module-level
-# names: the benchmark's tracer swaps them to time each stage, and a test patches fit_disc.
+# _block calls the classify stages once per block, and _draw the generators once per
+# trial, through these module-level names: the benchmark's tracer swaps them to time
+# each stage, and tests patch them.
 from .classify import (
     DISC_TOL,
     MIN_DISC_SAMPLES,
@@ -330,6 +334,7 @@ class CampaignSummary:
 
 
 _STRUCTURED_STRIDE = 25
+_BLOCK = 100  # trials per stacked disc fit and classification: a few MB of pencil and screen arrays
 
 
 def _components_summary(components) -> str:
@@ -358,23 +363,33 @@ def _draw(config: CampaignConfig, idx: int, child: np.random.SeedSequence):
     return "random_partial_isometry", params, random_partial_isometry(5, kd, seed), False
 
 
-def _trial(config: CampaignConfig, idx: int, child: np.random.SeedSequence) -> TrialRecord:
-    """Draw trial idx, fit and decide its disc, classify its curve, and count flat directions."""
-    gen, params, mat, expect = _draw(config, idx, child)
-    fit = fit_disc(mat, config.samples)
-    return TrialRecord(
-        index=idx,
-        generator=gen,
-        params=params,
-        center=fit.center,
-        radius=fit.radius,
-        fit_residual=fit.residual,
-        circular=disc_verdict(fit, config.tol_disc),
-        center_modulus=abs(fit.center),
-        components=_components_summary(classify_curve(mat)) if config.classify else "",
-        expect_circular=expect,
-        flat_candidates=len(detect_flat(mat)) if gen == "s5_zero" else 0,
-    )
+def _block(config: CampaignConfig, start: int, children: list) -> list[TrialRecord]:
+    """Records of trials start, start + 1, ..., one per child seed.
+
+    Each trial is drawn on its own child seed; the disc fit and the curve
+    classification then run once on the stack of the block's matrices, and
+    the flat count on each contraction-family fixture alone.
+    """
+    draws = [_draw(config, idx, child) for idx, child in enumerate(children, start)]
+    mats = np.stack([mat for _, _, mat, _ in draws])
+    fits = fit_disc(mats, config.samples)
+    summaries = [_components_summary(c) for c in classify_curve(mats)] if config.classify else [""] * len(draws)
+    return [
+        TrialRecord(
+            index=idx,
+            generator=gen,
+            params=params,
+            center=fit.center,
+            radius=fit.radius,
+            fit_residual=fit.residual,
+            circular=disc_verdict(fit, config.tol_disc),
+            center_modulus=abs(fit.center),
+            components=summary,
+            expect_circular=expect,
+            flat_candidates=len(detect_flat(mat)) if gen == "s5_zero" else 0,
+        )
+        for idx, ((gen, params, mat, expect), fit, summary) in enumerate(zip(draws, fits, summaries), start)
+    ]
 
 
 def _summarize(config: CampaignConfig, records: list) -> CampaignSummary:
@@ -423,10 +438,16 @@ def conjecture_campaign(config: CampaignConfig) -> tuple[list, CampaignSummary]:
     and are rejected, as are fewer than `MIN_DISC_SAMPLES` support
     samples, kernel dimensions that no trial could draw and a negative
     seed, all before the first trial.
+
+    Trial idx is drawn on child seed idx of `config.seed` whatever the
+    block it falls in, and `_block` fits and classifies up to `_BLOCK`
+    trials as one stack, so the records do not depend on the block size.
     """
     _check_config(config)
     children = np.random.SeedSequence(config.seed).spawn(config.n_trials)
-    records = [_trial(config, idx, child) for idx, child in enumerate(children)]
+    records = []
+    for start in range(0, config.n_trials, _BLOCK):
+        records += _block(config, start, children[start : start + _BLOCK])
     return records, _summarize(config, records)
 
 

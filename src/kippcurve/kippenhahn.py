@@ -27,7 +27,9 @@ off Q's coefficients.
 `curve_points`, `classify.fit_disc` and `classify.detect_flat`.  The
 pencil at t + pi is minus the one at t, so it diagonalizes only the
 angles in [0, pi) of an even grid, and an odd grid is every other angle
-of the even grid twice its size.
+of the even grid twice its size.  `_circle_sweep`, `_sweep` and
+`_fit_sweep` broadcast over a leading stack axis, so `classify` sweeps
+and fits a stack of matrices in one pass.
 """
 
 from __future__ import annotations
@@ -57,9 +59,12 @@ def _pencil(h: np.ndarray, k: np.ndarray, thetas) -> np.ndarray:
     return np.cos(th) * h + np.sin(th) * k
 
 
+@cache
 def _angles(samples: int) -> np.ndarray:
-    """samples equispaced angles over [0, 2 pi): the grid of every full-circle sweep."""
-    return np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    """samples equispaced angles over [0, 2 pi), read-only: the grid of every full-circle sweep."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    thetas.flags.writeable = False
+    return thetas
 
 
 def _circle_sweep(m: np.ndarray, samples: int, points: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -72,20 +77,23 @@ def _circle_sweep(m: np.ndarray, samples: int, points: bool = False) -> tuple[np
     its eigenvectors row t's reversed up to a phase that u* m u ignores.
     Only the first half is diagonalized.  An odd samples is every other
     angle of the grid of 2 samples, so it is that grid's sweep, thinned.
+    A stack m of shape (B, n, n) gives rows of shape (B, samples, n) from
+    one batched eigensolve.
     """
     if samples % 2:
         thetas, rows = _circle_sweep(m, 2 * samples, points)
-        return thetas[::2], rows[::2]
+        return thetas[::2], rows[..., ::2, :]
     thetas = _angles(samples)
-    pencil = _pencil(*hermitian_parts(m), thetas[: samples // 2])
+    h, k = hermitian_parts(m)
+    pencil = _pencil(h[..., None, :, :], k[..., None, :, :], thetas[: samples // 2])
     if points:
         _, vecs = np.linalg.eigh(pencil)
-        rows = np.einsum("tik,tik->tk", vecs.conj(), m @ vecs)
-        mirror = rows[:, ::-1]
+        rows = np.einsum("...tik,...tik->...tk", vecs.conj(), m[..., None, :, :] @ vecs)
+        mirror = rows[..., ::-1]
     else:
         rows = np.linalg.eigvalsh(pencil)
-        mirror = -rows[:, ::-1]
-    return thetas, np.concatenate([rows, mirror])
+        mirror = -rows[..., ::-1]
+    return thetas, np.concatenate([rows, mirror], axis=-2)
 
 
 def _sweep(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,9 +101,9 @@ def _sweep(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     lams[t] holds the ascending eigenvalues of cos(thetas[t]) H + sin(thetas[t]) K.
     2n + 2 is even, so `_circle_sweep` diagonalizes n + 1 of the angles.
-    Raises BadDims above MAX_DEGREE.
+    A stack m gives one row block per matrix.  Raises BadDims above MAX_DEGREE.
     """
-    n = m.shape[0]
+    n = m.shape[-1]
     if n > MAX_DEGREE:
         raise BadDims(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
     return _circle_sweep(m, 2 * n + 2)
@@ -125,33 +133,34 @@ def _layer_projections(n: int) -> tuple[np.ndarray, np.ndarray]:
     return design, pinv
 
 
-def _fit_sweep(lams: np.ndarray) -> HomoPoly3:
-    """The polynomial whose z-layers fit the elementary symmetric functions of lams.
+def _fit_sweep(lams: np.ndarray) -> np.ndarray:
+    """Coefficient array of the polynomial whose z-layers fit the elementary symmetric functions of lams.
 
-    lams holds the eigenvalues of a `_sweep`, one row per angle.  Raises
+    lams holds the eigenvalues of a `_sweep`, one row per angle, or a
+    stack of them; a stack gives a stack of coefficient arrays.  Raises
     IllConditionedInterpolation when a layer's fit residual exceeds 1e-8
     relative to rho^m, rho the largest eigenvalue modulus of the sweep.
     """
-    n = lams.shape[1]
+    n = lams.shape[-1]
     # elementary symmetric functions e_0..e_n at every angle: expand prod (z + lam_j)
-    esym = np.zeros((lams.shape[0], n + 1))
-    esym[:, 0] = 1.0
-    for lam in lams.T:
-        esym[:, 1:] = esym[:, 1:] + lam[:, None] * esym[:, :-1]
+    esym = np.zeros(lams.shape[:-1] + (n + 1,))
+    esym[..., 0] = 1.0
+    for j in range(n):
+        esym[..., 1:] = esym[..., 1:] + lams[..., j, None] * esym[..., :-1]
 
     design, pinv = _layer_projections(n)
-    layers = esym[:, 1:].T[:, :, None]  # layers[m - 1] = e_m over the angles
+    layers = esym[..., 1:].swapaxes(-1, -2)[..., None]  # layers[..., m - 1, :, 0] = e_m over the angles
     coef = pinv @ layers
-    resid = np.max(np.abs(design @ coef - layers), axis=(1, 2))
-    rho = float(np.max(np.abs(lams), initial=0.0))
-    over = ~(resid <= 1e-8 * rho ** np.arange(1, n + 1))  # nan counts as over
+    resid = np.max(np.abs(design @ coef - layers), axis=(-2, -1))
+    rho = np.max(np.abs(lams), axis=(-2, -1), initial=0.0)
+    over = ~(resid <= 1e-8 * rho[..., None] ** np.arange(1, n + 1))  # nan counts as over
     if np.any(over):
-        deg = int(np.argmax(over)) + 1
-        raise IllConditionedInterpolation(f"z^{n - deg} layer fit residual {resid[deg - 1]:.3e}")
-    c = np.zeros((n + 1, n + 1))
-    c[0, n] = 1.0
-    c[:, :n] = coef[::-1, :, 0].T  # the degree-m layer is column n - m
-    return HomoPoly3(c)
+        bad = tuple(np.argwhere(over)[0])
+        raise IllConditionedInterpolation(f"z^{n - 1 - bad[-1]} layer fit residual {resid[bad]:.3e}")
+    c = np.zeros(lams.shape[:-2] + (n + 1, n + 1))
+    c[..., 0, n] = 1.0
+    c[..., :n] = coef[..., ::-1, :, 0].swapaxes(-1, -2)  # the degree-m layer is column n - m
+    return c
 
 
 def kipp_poly_det(a) -> HomoPoly3:
@@ -169,7 +178,7 @@ def kipp_poly_det(a) -> HomoPoly3:
     IllConditionedInterpolation when a layer's fit residual exceeds 1e-8
     relative to rho^m, rho the largest eigenvalue modulus of the sweep.
     """
-    return _fit_sweep(_sweep(as_matrix(a))[1])
+    return HomoPoly3(_fit_sweep(_sweep(as_matrix(a))[1]))
 
 
 # --- closed-form route for 5x5 upper-triangular matrices ---

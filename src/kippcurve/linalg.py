@@ -1,7 +1,8 @@
 """Dense complex linear algebra substrate.
 
-The Hermitian split A = H + iK and the lex-ordered complex Schur form
-that the polynomial and classification layers build on.  Everything is
+The Hermitian split A = H + iK, of one matrix or matrix by matrix of a
+stack, and the lex-ordered complex Schur form that the polynomial and
+classification layers build on.  Everything is
 plain numpy/scipy on small dense matrices.
 """
 
@@ -17,22 +18,37 @@ from .errors import BadDims, ConvergenceFailure
 DEFAULT_TOL = 1e-9
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex ndarray, rejecting empty, non-square or non-finite input."""
+def as_stack(a) -> tuple[np.ndarray, bool]:
+    """(stack, single): a square matrix or a stack of them as a (B, n, n) complex ndarray.
+
+    single is True for one matrix, which is a stack of one.  Empty,
+    non-square or non-finite input raises BadDims.
+    """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise BadDims(f"expected a non-empty square matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or 0 in m.shape:
+        raise BadDims(f"expected a non-empty square matrix or stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise BadDims("matrix entries must be finite")
-    return m
+    return (m[None], True) if m.ndim == 2 else (m, False)
+
+
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a square complex ndarray, rejecting empty, non-square or non-finite input."""
+    m, single = as_stack(a)
+    if not single:
+        raise BadDims(f"expected a non-empty square matrix, got shape {m.shape}")
+    return m[0]
 
 
 def hermitian_parts(a) -> tuple[np.ndarray, np.ndarray]:
-    """Split A = H + iK with H = (A + A*)/2 and K = (A - A*)/(2i), both Hermitian."""
-    m = as_matrix(a)
-    h = (m + m.conj().T) / 2.0
-    k = (m - m.conj().T) / 2.0j
-    return h, k
+    """Split A = H + iK with H = (A + A*)/2 and K = (A - A*)/(2i), both Hermitian.
+
+    A stack of matrices splits matrix by matrix.
+    """
+    m, single = as_stack(a)
+    adj = m.conj().swapaxes(-1, -2)
+    h, k = (m + adj) / 2.0, (m - adj) / 2.0j
+    return (h[0], k[0]) if single else (h, k)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,16 @@ import pytest
 
 @pytest.fixture
 def count_eigensolves(monkeypatch):
-    """Stack sizes of the np.linalg.eigh and eigvalsh calls made during the test, by name."""
+    """Stack sizes of the np.linalg.eigh and eigvalsh calls made during the test, by name.
+
+    The size of a call is the number of matrices it diagonalizes: 1 for one
+    matrix, the product of the leading dimensions for a stack.
+    """
     calls = {"eigh": [], "eigvalsh": []}
     for name, solve in [(name, getattr(np.linalg, name)) for name in calls]:
 
         def counted(m, *args, _name=name, _solve=solve, **kwargs):
-            calls[_name].append(1 if np.ndim(m) == 2 else len(m))
+            calls[_name].append(int(np.prod(np.shape(m)[:-2])))
             return _solve(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)

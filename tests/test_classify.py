@@ -23,7 +23,7 @@ from kippcurve.classify import (
     matched_reports,
     two_ellipse_report,
 )
-from kippcurve.errors import NegativeMinorAxisSquared, NotDim5
+from kippcurve.errors import BadDims, NegativeMinorAxisSquared, NotDim5
 from kippcurve.generators import (
     flat_3x3,
     haar_unitary,
@@ -435,6 +435,15 @@ class TestDetectFlat:
         assert min(max(min(dt, np.pi - dt), dm) for dt, dm in off) < 1e-12
 
 
+def pairwise_dedupe(cands):
+    """The rule of `_dedupe` as a scan over every pair."""
+    out = []
+    for th, mu in cands:
+        if not any(min(abs(th - t0), np.pi - abs(th - t0)) < 1e-6 and abs(mu - m0) < 1e-6 for t0, m0 in out):
+            out.append((th, mu))
+    return out
+
+
 class TestFlatDrop:
     def test_drops_change_nothing(self, monkeypatch):
         # with an infinite Weyl rate no bracket is ever dropped
@@ -496,6 +505,16 @@ class TestFlatDrop:
             mu = mu + rng.normal(scale=rng.choice([1e-7, 1e-6, 3e-6]), size=n)
             cands = list(zip(th.tolist(), mu.tolist()))
             assert classify_mod._dedupe(cands) == pairwise(cands)
+
+    def test_dedupe_of_a_scalar_matrix_matches_pairwise_scan(self, monkeypatch):
+        # 0.3 I has 1024 candidates, 4 at each of the 256 grid directions
+        seen = []
+        dedupe = classify_mod._dedupe
+        monkeypatch.setattr(classify_mod, "_dedupe", lambda cands: dedupe(seen.append(list(cands)) or seen[-1]))
+        found = detect_flat(0.3 * np.eye(5))
+        assert len(seen[0]) == 1024
+        assert len(found) == 256
+        assert found == sorted(pairwise_dedupe(seen[0]))
 
     def test_crossings_at_the_ends_of_a_repeated_eigenvalue(self):
         # the gaps inside the triple 0.3 are exactly 0 at every angle; where
@@ -751,6 +770,56 @@ class TestClassifyCurve:
         assert abs(axes[1] - 0.8) < 1e-7
 
 
+# --- stacks: one matrix is a stack of one ---
+
+
+def mixed_stack():
+    """Random partial isometries of kernel dimension 0..4, J5, s5_family members,
+    a diagonal with a repeated eigenvalue, two-ellipse blocks and
+    ellipse-plus-flat blocks, as one (20, 5, 5) stack."""
+    mats = [random_partial_isometry(5, k, seed) for k in range(5) for seed in (1, 2)]
+    mats += [jordan_shift(5), s5_family(0.4, 0.3 + 0.2j, 0.3 - 0.2j), s5_family(0.0, 0.3j, -0.2)]
+    mats += [s5_family(0.0, 0.5, 0.5j), np.diag([0.3, 0.3, -0.2 + 0.1j, 0.3, 0.4j])]
+    mats += [
+        two_ellipse_block(0.3 + 0.1j, -0.2j, 0.1 - 0.3j, 0.25, -0.35, 0.8, 0.55),
+        two_ellipse_block(0.3, -0.2j, 0.3, -0.2j, 0.3, 0.8, 0.55),
+    ]
+    mats += [scipy.linalg.block_diag(FLAT_TOP, block) for block in criterion4_blocks()[:3]]
+    return np.stack([np.asarray(m, dtype=complex) for m in mats])
+
+
+class TestStacks:
+    def test_stack_equals_loop(self):
+        stack = mixed_stack()
+        assert fit_disc(stack) == [fit_disc(m) for m in stack]
+        curves = classify_curve(stack)
+        assert curves == [classify_curve(m) for m in stack]
+        # every component kind comes out of the one stacked call
+        assert {c.kind for curve in curves for c in curve} == {"point", "ellipse", "flat_quartic", "unclassified"}
+
+    def test_stack_of_one_equals_the_matrix(self):
+        for m in mixed_stack():
+            assert fit_disc(m[None], 16) == [fit_disc(m, 16)]
+            assert classify_curve(m[None]) == [classify_curve(m)]
+
+    def test_a_curve_is_unclassified_only_when_nothing_was_recognised(self):
+        curves = classify_curve(np.stack([jordan_shift(5), s5_family(0.4, 0.3 + 0.2j, 0.3 - 0.2j)]))
+        assert [c.kind for c in curves] == ["classified", "unclassified"]
+
+    @pytest.mark.parametrize("call", [fit_disc, classify_curve])
+    def test_bad_stack_rejected(self, call):
+        stack = mixed_stack()
+        nonfinite = stack.copy()
+        nonfinite[4, 1, 2] = np.inf
+        for bad in (nonfinite, stack[:, :, :4], stack[:0], stack[None]):
+            with pytest.raises(BadDims):
+                call(bad)
+
+    def test_classify_needs_a_5x5_stack(self):
+        with pytest.raises(NotDim5):
+            classify_curve(np.stack([jordan_shift(4)] * 3))
+
+
 # --- the sweep screen in front of the divisions ---
 
 
@@ -809,10 +878,11 @@ def screened_and_accepted(monkeypatch, a, tol):
     seen = {}
     passed = []
 
-    def screen_off(eigs, thetas, lams, p, tol):
-        seen["eigs"] = eigs
-        seen["flags"] = real_screen(eigs, thetas, lams, p, tol)
-        return np.ones(len(eigs), dtype=bool), np.ones((len(eigs),) * 2, dtype=bool)
+    def screen_off(eigs, thetas, lams, coefs, tol):
+        # classify_curve screens a stack, and one matrix is a stack of one
+        point_ok, pair_ok = real_screen(eigs, thetas, lams, coefs, tol)
+        seen["eigs"], seen["flags"] = eigs[0], (point_ok[0], pair_ok[0])
+        return np.ones_like(point_ok), np.ones_like(pair_ok)
 
     def linear_spy(p, lam):
         quot, resid = real_linear(p, lam)

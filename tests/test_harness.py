@@ -182,6 +182,19 @@ class TestCampaign:
         assert sum_off == sum_on
         assert campaign_id(off) != campaign_id(on)
 
+    def test_one_stacked_sweep_per_stage(self, count_eigensolves):
+        # 40 trials are one block: the disc fits' 32 eigensolves a trial and
+        # the classification's 6 are one eigvalsh stack each
+        conjecture_campaign(CampaignConfig(n_trials=40, seed=3, include_structured=False))
+        assert count_eigensolves == {"eigh": [], "eigvalsh": [40 * 32, 40 * 6]}
+
+    def test_blocks_change_no_record(self, monkeypatch):
+        # 60 trials in blocks of 7 (the last one short) against one block
+        config = CampaignConfig(n_trials=60, seed=206)
+        whole = conjecture_campaign(config)
+        monkeypatch.setattr(harness, "_BLOCK", 7)
+        assert conjecture_campaign(config) == whole
+
     def test_unstructured_only(self):
         cfg = CampaignConfig(n_trials=30, seed=203, include_structured=False)
         records, summary = conjecture_campaign(cfg)
@@ -217,12 +230,16 @@ class TestPersistence:
     def test_unwritable_root_fails_before_any_trial(self, monkeypatch, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        trials = []
-        trial = harness._trial
-        monkeypatch.setattr(harness, "_trial", lambda *args: trials.append(args) or trial(*args))
+        calls = []
+        for name in ("_draw", "fit_disc", "classify_curve"):
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *args, _r=real, _n=name: calls.append(_n) or _r(*args))
         with pytest.raises(OSError):
             run_campaign(CampaignConfig(n_trials=30, seed=5), root=blocker / "runs")
-        assert trials == []
+        assert calls == []
+        # the same spies see every stage of a run that can write
+        run_campaign(CampaignConfig(n_trials=3, seed=5), root=tmp_path / "runs")
+        assert set(calls) == {"_draw", "fit_disc", "classify_curve"}
 
     @pytest.mark.parametrize("bad", [{"samples": 8}, {"tol_disc": 0.0}, {"ker_dims": (7,)}, {"seed": -1}])
     def test_invalid_config_creates_nothing(self, tmp_path, bad):

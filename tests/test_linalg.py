@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kippcurve.errors import BadDims
-from kippcurve.linalg import as_matrix, hermitian_parts, schur_triangularize
+from kippcurve.linalg import as_matrix, as_stack, hermitian_parts, schur_triangularize
 
 
 def test_as_matrix_rejects_nonsquare():
@@ -24,6 +24,34 @@ def test_as_matrix_accepts_lists():
     m = as_matrix([[1, 2], [3, 4]])
     assert m.dtype == complex
     assert m.shape == (2, 2)
+
+
+def test_as_stack_takes_a_matrix_as_a_stack_of_one():
+    m = np.arange(4.0).reshape(2, 2)
+    stack, single = as_stack(m)
+    assert single and stack.shape == (1, 2, 2) and stack.dtype == complex
+    stack, single = as_stack(np.stack([m, m, m]))
+    assert not single and stack.shape == (3, 2, 2)
+
+
+def test_as_stack_rejects_bad_stacks():
+    good = np.zeros((3, 2, 2))
+    nonfinite = good.copy()
+    nonfinite[1, 0, 1] = np.nan
+    for bad in (nonfinite, np.zeros((3, 2, 3)), np.zeros((0, 2, 2)), np.zeros((1, 3, 2, 2)), np.zeros(4)):
+        with pytest.raises(BadDims):
+            as_stack(bad)
+    with pytest.raises(BadDims):
+        as_matrix(good)
+
+
+def test_hermitian_parts_of_a_stack_split_matrix_by_matrix():
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    h, k = hermitian_parts(stack)
+    for m, hm, km in zip(stack, h, k):
+        h1, k1 = hermitian_parts(m)
+        assert np.array_equal(h1, hm) and np.array_equal(k1, km)
 
 
 def test_hermitian_parts_reconstruct():
