@@ -652,14 +652,12 @@ def _peel(m: np.ndarray, eigs: list, coef: np.ndarray, point_ok, pair_ok, tol: f
     return Curve([*points, *ellipses, *tail])
 
 
-def _match_positions(eigs, wanted, used: set) -> list[int]:
-    # nearest unused diagonal position for each requested eigenvalue
-    out = []
+def _match_positions(eigs, wanted) -> tuple:
+    # the roles in order: each takes the nearest diagonal position not taken before it
+    used = []
     for w in wanted:
-        best = min((i for i in range(5) if i not in used), key=lambda i: abs(eigs[i] - w))
-        used.add(best)
-        out.append(best)
-    return out
+        used.append(min((i for i in range(5) if i not in used), key=lambda i: abs(eigs[i] - w)))
+    return tuple(used)
 
 
 def matched_reports(a, components, tol: float = DEFAULT_TOL) -> list:
@@ -681,18 +679,10 @@ def matched_reports(a, components, tol: float = DEFAULT_TOL) -> list:
     flats = [c for c in components if c.kind == "flat_quartic"]
     out = []
     if len(pts) == 1 and len(ells) == 2 and not flats:
-        used: set = set()
-        p_, q_ = _match_positions(eigs, [ells[0].focus1, ells[0].focus2], used)
-        t_, v_ = _match_positions(eigs, [ells[1].focus1, ells[1].focus2], used)
-        (w_,) = _match_positions(eigs, [pts[0].location], used)
-        rep = two_ellipse_report(tm, (p_, q_, t_, v_, w_), ells[0].minor_axis, ells[1].minor_axis)
-        out.append(("two_ellipse_point", rep))
+        foci = [ells[0].focus1, ells[0].focus2, ells[1].focus1, ells[1].focus2]
+        roles = _match_positions(eigs, [*foci, pts[0].location])
+        out.append(("two_ellipse_point", two_ellipse_report(tm, roles, ells[0].minor_axis, ells[1].minor_axis)))
     if len(ells) == 1 and len(flats) == 1 and not pts:
-        used = set()
-        p_, q_ = _match_positions(eigs, [ells[0].focus1, ells[0].focus2], used)
-        t_, v_, w_ = _match_positions(eigs, list(flats[0].foci), used)
-        rep = flat_report(
-            tm, (p_, q_, t_, v_, w_), ells[0].minor_axis, flats[0].theta, flats[0].mu, tol
-        )
-        out.append(("ellipse_flat", rep))
+        roles = _match_positions(eigs, [ells[0].focus1, ells[0].focus2, *flats[0].foci])
+        out.append(("ellipse_flat", flat_report(tm, roles, ells[0].minor_axis, flats[0].theta, flats[0].mu, tol)))
     return out

@@ -7,12 +7,12 @@ I/O errors (an output file or run directory that cannot be written).
 
 `classify`, `campaign` and `identities` print the library's result
 dataclasses through `formats.camel_fields`: each key is a field in camelCase.
+`generate` echoes the parameters click parsed; `campaign` parses CampaignConfig's.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -68,7 +68,7 @@ def _guard(fn):
 
 
 def _write_json(payload, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = formats.dataclass_json(payload, indent=2)
     if out is None:
         click.echo(text)
     else:
@@ -172,12 +172,20 @@ def boundary(matrix, samples, out, svg_path):
         Path(svg_path).write_text(_draw(m, pts))
 
 
-def _emit_matrix(m: np.ndarray, out: str | None, params: dict) -> None:
+def _emit_matrix(m: np.ndarray, out: str | None) -> None:
+    # the echo: the family by the command's name, the rest but out in camelCase, l1, l2, ... as one list l
     if out is None:
         _write_json(formats.matrix_to_json(m), None)
     else:
         formats.dump_matrix(m, out)
-    click.echo(json.dumps({"params": params}, sort_keys=True), err=True)
+    ctx = click.get_current_context()
+    params = {"family": ctx.info_name}
+    for name, value in sorted(ctx.params.items()):  # l1, l2, ... in index order
+        if name[0] == "l" and name[1:].isdigit():
+            params.setdefault("l", []).append(value)
+        elif name != "out":
+            params[formats._camel(name)] = value
+    click.echo(formats.dataclass_json({"params": params}), err=True)
 
 
 @main.group()
@@ -197,13 +205,7 @@ def generate():
 @_guard
 def gen_two_ellipse(l1, l2, l3, l4, l5, r, s, out):
     """Direct sum of two 2x2 Jordan-like blocks and a scalar."""
-    m = two_ellipse_block(l1, l2, l3, l4, l5, r, s)
-    _emit_matrix(m, out, {
-        "family": "two-ellipse",
-        "l": [formats.pair(v) for v in (l1, l2, l3, l4, l5)],
-        "r": r,
-        "s": s,
-    })
+    _emit_matrix(two_ellipse_block(l1, l2, l3, l4, l5, r, s), out)
 
 
 @generate.command("s5")
@@ -214,8 +216,7 @@ def gen_two_ellipse(l1, l2, l3, l4, l5, r, s, out):
 @_guard
 def gen_s5(a, b, c, out):
     """The three-parameter partial isometry family with eigenvalues a,a,0,b,c."""
-    m = s5_family(a, b, c)
-    _emit_matrix(m, out, {"family": "s5", "a": a, "b": formats.pair(b), "c": formats.pair(c)})
+    _emit_matrix(s5_family(a, b, c), out)
 
 
 @generate.command("flat3")
@@ -230,15 +231,7 @@ def gen_s5(a, b, c, out):
 @_guard
 def gen_flat3(l3, l4, l5, theta, mu, phase_a, phase_b, out):
     """3x3 matrix whose curve has a flat boundary portion at direction theta."""
-    m = flat_3x3(l3, l4, l5, theta, mu, phase_a=phase_a, phase_b=phase_b)
-    _emit_matrix(m, out, {
-        "family": "flat3",
-        "l": [formats.pair(v) for v in (l3, l4, l5)],
-        "theta": theta,
-        "mu": mu,
-        "phaseA": phase_a,
-        "phaseB": phase_b,
-    })
+    _emit_matrix(flat_3x3(l3, l4, l5, theta, mu, phase_a=phase_a, phase_b=phase_b), out)
 
 
 @generate.command("pi")
@@ -249,8 +242,7 @@ def gen_flat3(l3, l4, l5, theta, mu, phase_a, phase_b, out):
 @_guard
 def gen_pi(n, ker, seed, out):
     """Haar-random n x n partial isometry with the given kernel dimension."""
-    m = random_partial_isometry(n, ker, seed)
-    _emit_matrix(m, out, {"family": "pi", "n": n, "ker": ker, "seed": seed})
+    _emit_matrix(random_partial_isometry(n, ker, seed), out)
 
 
 @generate.command("ker2")
@@ -260,8 +252,7 @@ def gen_pi(n, ker, seed, out):
 @_guard
 def gen_ker2(seed, distinct_top, out):
     """Random 5x5 partial isometry with two-dimensional kernel, in block form."""
-    m = ker2_family(seed, distinct_top=distinct_top)
-    _emit_matrix(m, out, {"family": "ker2", "seed": seed, "distinctTop": distinct_top})
+    _emit_matrix(ker2_family(seed, distinct_top=distinct_top), out)
 
 
 @generate.command("jordan")
@@ -270,41 +261,33 @@ def gen_ker2(seed, distinct_top, out):
 @_guard
 def gen_jordan(n, out):
     """The n x n nilpotent Jordan block (shift)."""
-    m = jordan_shift(n)
-    _emit_matrix(m, out, {"family": "jordan", "n": n})
+    _emit_matrix(jordan_shift(n), out)
 
 
 @main.command()
-@click.option("--trials", type=click.IntRange(min=1), required=True)
+@click.option("--trials", "n_trials", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--ker-dims", default=",".join(map(str, CampaignConfig.ker_dims)), show_default=True,
               help="comma-separated kernel dimensions to draw from")
-@click.option("--structured/--no-structured", default=CampaignConfig.include_structured, show_default=True,
-              help="interleave the fixed witness matrices")
+@click.option("--structured/--no-structured", "include_structured", default=CampaignConfig.include_structured,
+              show_default=True, help="interleave the fixed witness matrices")
 @click.option("--tol-disc", default=CampaignConfig.tol_disc, show_default=True)
 @click.option("--tol-center", default=CampaignConfig.tol_center, show_default=True)
 @click.option("--samples", default=CampaignConfig.samples, type=click.IntRange(min=MIN_DISC_SAMPLES), show_default=True)
-@click.option("--classify/--no-classify", "do_classify", default=CampaignConfig.classify, show_default=True)
+@click.option("--classify/--no-classify", "classify", default=CampaignConfig.classify, show_default=True)
 @click.option("--runs-dir", type=click.Path(file_okay=False), default=None, help="defaults to $KIPP_RUNS_DIR or ./runs")
 @_guard
-def campaign(trials, seed, ker_dims, structured, tol_disc, tol_center, samples, do_classify, runs_dir):
+def campaign(ker_dims, runs_dir, **fields):
     """Random search for circularity violations; persists one run directory."""
     try:
         dims = tuple(int(tok) for tok in ker_dims.split(",") if tok.strip() != "")
     except ValueError:
         raise click.UsageError(f"--ker-dims must be comma-separated integers, got {ker_dims!r}")
-    if not dims or any(d < 0 or d > 5 for d in dims):
+    if not dims:
+        raise click.UsageError(f"--ker-dims names no kernel dimension, got {ker_dims!r}")
+    if any(d < 0 or d > 5 for d in dims):
         raise click.UsageError("--ker-dims entries must lie in 0..5")
-    config = CampaignConfig(
-        n_trials=trials,
-        seed=seed,
-        ker_dims=dims,
-        include_structured=structured,
-        tol_disc=tol_disc,
-        tol_center=tol_center,
-        samples=samples,
-        classify=do_classify,
-    )
+    config = CampaignConfig(ker_dims=dims, **fields)
     run_dir, _records, summary = run_campaign(config, root=runs_dir)
     # the summary's fields but the tolerances, which config.json holds, and the counts under short names
     payload = formats.camel_fields(summary)

@@ -3,9 +3,10 @@
 Matrices travel as {"dim": n, "entries": [[re, im], ...]} in row-major
 order; polynomials as {"degree": d, "terms": [{"i", "j", "k", "c"}, ...]}
 sorted lexicographically by exponent; complex scalars always as a
-[re, im] pair; library dataclasses through `camel_fields`, keys in
-camelCase.  Floats serialize through repr, which round-trips exactly,
-so equal data means equal bytes.
+[re, im] pair.  One value conversion writes every document: the CLI's
+through `camel_fields`, keys in camelCase, and the run files through
+`dataclass_json`, keys as the fields are named.  Floats serialize
+through repr, which round-trips exactly, so equal data means equal bytes.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def load_matrix(path) -> np.ndarray:
 
 def dump_matrix(m, path) -> None:
     # serialize first, so a rejected matrix leaves no file behind
-    text = json.dumps(matrix_to_json(m), sort_keys=True)
+    text = dataclass_json(matrix_to_json(m))
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -88,12 +89,14 @@ def _camel(name: str) -> str:
 
 
 def _plain(v):
-    if dataclasses.is_dataclass(v):
-        return camel_fields(v)
     if isinstance(v, complex):
         return pair(v)
-    if isinstance(v, tuple):
+    if isinstance(v, (tuple, list)):
         return [_plain(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    if dataclasses.is_dataclass(v):
+        return camel_fields(v)
     return v
 
 
@@ -105,6 +108,13 @@ def camel_fields(obj, *names) -> dict:
     """
     names = names or [f.name for f in dataclasses.fields(obj)]
     return {_camel(name): _plain(getattr(obj, name)) for name in names}
+
+
+def dataclass_json(obj, indent=None) -> str:
+    """A dataclass under its field names, or a dict, as JSON: keys sorted, values as in `camel_fields`."""
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return json.dumps(_plain(obj), sort_keys=True, indent=indent)
 
 
 def component_to_json(comp) -> dict:

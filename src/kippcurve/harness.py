@@ -10,14 +10,13 @@ function, and records every circular range whose center strays from the
 origin; a clean campaign is evidence for origin-centered circularity.
 It runs in blocks of trials: each trial is drawn on its own child seed,
 and the disc fit and the classification each sweep the block's stack of
-matrices at once.
+matrices at once.  The run files and the campaign id go through
+`formats.dataclass_json`, the writer of every other document.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import json
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -47,6 +46,7 @@ from .generators import (
     random_partial_isometry,
     s5_family,
 )
+from .formats import dataclass_json
 from .homopoly import max_abs_coeff, max_coeff_diff
 from .kippenhahn import kipp_poly_det, kipp_poly_expanded
 
@@ -58,7 +58,6 @@ class OracleSuiteReport:
     count: int
     scale: float
     max_relative: float
-    mean_relative: float
     worst_index: int
     passed: bool
 
@@ -96,7 +95,6 @@ def oracle_identity_suite(count: int, seed: int, scale: float = 1.0) -> OracleSu
         count=count,
         scale=scale,
         max_relative=mx,
-        mean_relative=float(rels.mean()),
         worst_index=int(rels.argmax()),
         passed=bool(mx < ORACLE_REL_TOL),
     )
@@ -109,15 +107,14 @@ def oracle_identity_suite(count: int, seed: int, scale: float = 1.0) -> OracleSu
 class S5IdentityReport:
     """(d)-side cancellation over a parameter grid plus the (b)-residual scan.
 
-    d_moduli pairs each (a, b, c) sample with the entry-side value of
-    condition (d) for the shifted matrix A - aI, which cancels
+    max_d_modulus is the largest entry-side value of condition (d) for
+    the shifted matrix A - aI over the (a, b, c) grid; it cancels
     identically.  scan holds (a, residual) rows for the b = c = a line
     under nominal axes; the residual grows linearly in a, so it vanishes
     only at a = 0 and any circular-plus-ellipses shape of the shifted
     family is ruled out away from the origin.
     """
 
-    d_moduli: tuple
     max_d_modulus: float
     scan: tuple
     scan_zero_residual: float
@@ -141,12 +138,7 @@ _S5_SCAN_A = np.linspace(0.0, 0.5, 6)  # a values of the obstruction scan
 
 
 def s5_identity_check() -> S5IdentityReport:
-    d_rows = []
-    for a, b, c in _S5_SAMPLES:
-        shifted = s5_family(a, b, c) - a * np.eye(5)
-        rhs = entry_condition_rhs(shifted)
-        d_rows.append((float(a), complex(b), complex(c), abs(rhs["d"])))
-    max_d = max(r[3] for r in d_rows)
+    max_d = max(abs(entry_condition_rhs(s5_family(a, b, c) - a * np.eye(5))["d"]) for a, b, c in _S5_SAMPLES)
 
     # on the b = c = a line the entry side of (b) cancels, so the residual
     # against any fixed two-ellipse target is |axes contribution| ~ a
@@ -168,7 +160,6 @@ def s5_identity_check() -> S5IdentityReport:
     )
     passed = max_d < S5_D_TOL and zero_res < S5_SCAN_MARGIN and min_margin > S5_SCAN_MARGIN and pi_zero
     return S5IdentityReport(
-        d_moduli=tuple(d_rows),
         max_d_modulus=float(max_d),
         scan=tuple(scan),
         scan_zero_residual=float(zero_res),
@@ -413,18 +404,23 @@ def _summarize(config: CampaignConfig, records: list) -> CampaignSummary:
     )
 
 
+def _whole(v) -> bool:
+    # a bool would count, but config.json would write it as true and give the trials a second id
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_config(config: CampaignConfig) -> None:
     # every check a config can fail, so that none fails after the first trial
-    if config.n_trials <= 0:
-        raise ValueError("n_trials must be positive")
-    if config.seed < 0:
-        raise ValueError(f"seed must be non-negative, got {config.seed}")
+    if not _whole(config.n_trials) or config.n_trials <= 0:
+        raise ValueError(f"n_trials must be a positive integer, got {config.n_trials!r}")
+    if not _whole(config.seed) or config.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
     _check_tol(config.tol_disc, "tol_disc")
     _check_tol(config.tol_center, "tol_center")
-    if config.samples < MIN_DISC_SAMPLES:
-        raise ValueError(f"samples must be at least {MIN_DISC_SAMPLES}, got {config.samples}")
-    if not config.ker_dims or not all(d in range(6) for d in config.ker_dims):
-        raise ValueError(f"ker_dims must be a non-empty choice from 0..5, got {config.ker_dims}")
+    if not _whole(config.samples) or config.samples < MIN_DISC_SAMPLES:
+        raise ValueError(f"samples must be an integer of at least {MIN_DISC_SAMPLES}, got {config.samples!r}")
+    if not config.ker_dims or not all(_whole(d) and 0 <= d <= 5 for d in config.ker_dims):
+        raise ValueError(f"ker_dims must be a non-empty choice of integers from 0..5, got {config.ker_dims!r}")
 
 
 def conjecture_campaign(config: CampaignConfig) -> tuple[list, CampaignSummary]:
@@ -436,8 +432,9 @@ def conjecture_campaign(config: CampaignConfig) -> tuple[list, CampaignSummary]:
     no flat candidate shows up on the contraction-family fixtures.
     Tolerances that are not finite and positive would decide nothing
     and are rejected, as are fewer than `MIN_DISC_SAMPLES` support
-    samples, kernel dimensions that no trial could draw and a negative
-    seed, all before the first trial.
+    samples, kernel dimensions that no trial could draw, a negative
+    seed and counts that are not Python ints (bools included), all
+    before the first trial.
 
     Trial idx is drawn on child seed idx of `config.seed` whatever the
     block it falls in, and `_block` fits and classifies up to `_BLOCK`
@@ -454,19 +451,8 @@ def conjecture_campaign(config: CampaignConfig) -> tuple[list, CampaignSummary]:
 # --- persistence ---
 
 
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"not serializable: {type(obj)}")
-
-
-def _to_json(obj, indent=None) -> str:
-    """A dataclass as JSON with sorted keys and complex numbers as [re, im]."""
-    return json.dumps(dataclasses.asdict(obj), sort_keys=True, indent=indent, default=_json_default)
-
-
 def campaign_id(config: CampaignConfig) -> str:
-    return hashlib.sha256(_to_json(config).encode()).hexdigest()[:12]
+    return hashlib.sha256(dataclass_json(config).encode()).hexdigest()[:12]
 
 
 def runs_root(explicit=None) -> Path:
@@ -487,8 +473,8 @@ def run_campaign(config: CampaignConfig, root=None):
     rdir = runs_root(root) / campaign_id(config)
     rdir.mkdir(parents=True, exist_ok=True)
     records, summary = conjecture_campaign(config)
-    (rdir / "config.json").write_text(_to_json(config, indent=2) + "\n")
+    (rdir / "config.json").write_text(dataclass_json(config, indent=2) + "\n")
     with open(rdir / "records.jsonl", "w") as fh:
-        fh.writelines(_to_json(r) + "\n" for r in records)
-    (rdir / "summary.json").write_text(_to_json(summary, indent=2) + "\n")
+        fh.writelines(dataclass_json(r) + "\n" for r in records)
+    (rdir / "summary.json").write_text(dataclass_json(summary, indent=2) + "\n")
     return rdir, records, summary

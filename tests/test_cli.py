@@ -199,6 +199,44 @@ class TestGenerate:
         assert doc["dim"] == 2
         assert json.loads(res.stderr)["params"] == {"family": "jordan", "n": 2}
 
+    @pytest.mark.parametrize(
+        "args, echo",
+        [
+            (
+                # the l options out of order: the echo lists them by index
+                ["two-ellipse", "--l2", "-0.2j", "--l1", "0.3+0.1j", "--l3", "0.1-0.3j",
+                 "--l4", "0.25", "--l5", "-0.35", "--r", "0.8", "--s", "0.55"],
+                '{"params": {"family": "two-ellipse", "l": [[0.3, 0.1], [0.0, -0.2], [0.1, -0.3], '
+                '[0.25, 0.0], [-0.35, 0.0]], "r": 0.8, "s": 0.55}}',
+            ),
+            (
+                ["s5", "--a", "0.4", "--b", "0.3+0.2j", "--c", "0.3-0.2j"],
+                '{"params": {"a": 0.4, "b": [0.3, 0.2], "c": [0.3, -0.2], "family": "s5"}}',
+            ),
+            (
+                ["flat3", "--l3", "0.2", "--l4", "0.1+0.3j", "--l5", "-0.1-0.2j",
+                 "--theta", "0", "--mu", "0.5", "--phase-b", "0.25"],
+                '{"params": {"family": "flat3", "l": [[0.2, 0.0], [0.1, 0.3], [-0.1, -0.2]], '
+                '"mu": 0.5, "phaseA": 0.0, "phaseB": 0.25, "theta": 0.0}}',
+            ),
+            (["pi", "--ker", "2", "--seed", "7"], '{"params": {"family": "pi", "ker": 2, "n": 5, "seed": 7}}'),
+            (["ker2", "--seed", "3"], '{"params": {"distinctTop": false, "family": "ker2", "seed": 3}}'),
+            (
+                ["ker2", "--seed", "3", "--distinct-top"],
+                '{"params": {"distinctTop": true, "family": "ker2", "seed": 3}}',
+            ),
+            (["jordan", "--n", "3"], '{"params": {"family": "jordan", "n": 3}}'),
+        ],
+    )
+    def test_params_echo(self, runner, tmp_path, args, echo):
+        # every family's parameters, defaults included, as pinned bytes; --out is not echoed
+        res = runner.invoke(main, ["generate", *args])
+        assert res.exit_code == 0
+        assert res.stderr == echo + "\n"
+        res = runner.invoke(main, ["generate", *args, "--out", str(tmp_path / "m.json")])
+        assert res.exit_code == 0
+        assert res.stderr == echo + "\n"
+
     def test_pi_deterministic(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for target in (a, b):
@@ -295,6 +333,26 @@ class TestCampaignCommand:
         assert res.exit_code == 0
         assert json.loads(res.output)["runDir"] == str(tmp_path / campaign_id(CampaignConfig(n_trials=3, seed=1)))
 
+    def test_options_reach_config(self, runner, tmp_path):
+        args = [
+            "campaign", "--trials", "4", "--seed", "5", "--ker-dims", "2,3", "--no-structured",
+            "--tol-disc", "2e-8", "--tol-center", "1e-6", "--samples", "32", "--no-classify",
+            "--runs-dir", str(tmp_path),
+        ]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        config = json.loads(Path(json.loads(res.output)["runDir"], "config.json").read_text())
+        assert config == {
+            "n_trials": 4,
+            "seed": 5,
+            "ker_dims": [2, 3],
+            "include_structured": False,
+            "tol_disc": 2e-8,
+            "tol_center": 1e-6,
+            "samples": 32,
+            "classify": False,
+        }
+
     def test_zero_trials_usage_error(self, runner):
         res = runner.invoke(main, ["campaign", "--trials", "0"])
         assert res.exit_code == 2
@@ -308,12 +366,13 @@ class TestCampaignCommand:
         assert not any(tmp_path.iterdir())
 
     def test_bad_ker_dims(self, runner, tmp_path):
-        for dims in ("2,9", "1,x"):
+        for dims in ("2,9", "1,x", ""):
             res = runner.invoke(
                 main,
                 ["campaign", "--trials", "3", "--ker-dims", dims, "--runs-dir", str(tmp_path)],
             )
             assert res.exit_code == 2
+        assert "names no kernel dimension" in res.stderr
 
     def test_center_violation_exits_1(self, runner, tmp_path):
         # the Jordan fixture of trial 0 is a disc centered within roundoff of 0, not within 1e-300

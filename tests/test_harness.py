@@ -1,13 +1,14 @@
 """Tests for the identity suites and the circularity search campaign."""
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kippcurve import harness
+from kippcurve import formats, harness
 from kippcurve.classify import fit_disc
 from kippcurve.harness import (
     CampaignConfig,
@@ -155,12 +156,12 @@ class TestCampaign:
         golden = json.loads(GOLDEN_CAMPAIGN.read_text())
         config = CampaignConfig(n_trials=75, seed=2108)
         records, summary = conjecture_campaign(config)
-        assert json.loads(harness._to_json(config)) == golden["config"]
+        assert json.loads(formats.dataclass_json(config)) == golden["config"]
         got, want = [], []
-        got_shape = split_floats([json.loads(harness._to_json(r)) for r in records], got)
+        got_shape = split_floats([json.loads(formats.dataclass_json(r)) for r in records], got)
         assert got_shape == split_floats(golden["records"], want)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-        got_summary, want_summary = json.loads(harness._to_json(summary)), golden["summary"]
+        got_summary, want_summary = json.loads(formats.dataclass_json(summary)), golden["summary"]
         key = "max_center_modulus_circular"
         assert got_summary.pop(key) == pytest.approx(want_summary.pop(key), abs=1e-12)
         assert got_summary == want_summary
@@ -221,6 +222,25 @@ class TestPersistence:
         for name in ("config.json", "records.jsonl", "summary.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_run_files_match_reference_encoder(self, tmp_path):
+        # the run files' bytes as dataclasses.asdict plus a complex hook wrote them;
+        # trial 25 is an s5_zero fixture, whose params hold complex values
+        def reference(obj, indent=None):
+            def default(v):
+                if isinstance(v, complex):
+                    return [v.real, v.imag]
+                raise TypeError(f"not serializable: {type(v)}")
+
+            return json.dumps(dataclasses.asdict(obj), sort_keys=True, indent=indent, default=default)
+
+        cfg = CampaignConfig(n_trials=30, seed=303)
+        run_dir, records, summary = run_campaign(cfg, root=tmp_path)
+        assert any(r.generator == "s5_zero" for r in records)
+        assert run_dir.name == hashlib.sha256(reference(cfg).encode()).hexdigest()[:12]
+        assert (run_dir / "config.json").read_text() == reference(cfg, indent=2) + "\n"
+        assert (run_dir / "records.jsonl").read_text() == "".join(reference(r) + "\n" for r in records)
+        assert (run_dir / "summary.json").read_text() == reference(summary, indent=2) + "\n"
+
     def test_records_carry_no_timestamp(self, tmp_path):
         cfg = CampaignConfig(n_trials=4, seed=302)
         run_dir, _, _ = run_campaign(cfg, root=tmp_path)
@@ -241,9 +261,27 @@ class TestPersistence:
         run_campaign(CampaignConfig(n_trials=3, seed=5), root=tmp_path / "runs")
         assert set(calls) == {"_draw", "fit_disc", "classify_curve"}
 
-    @pytest.mark.parametrize("bad", [{"samples": 8}, {"tol_disc": 0.0}, {"ker_dims": (7,)}, {"seed": -1}])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"samples": 8},
+            {"tol_disc": 0.0},
+            {"ker_dims": (7,)},
+            {"seed": -1},
+            # a count that is not an int fails inside the draw, and a bool writes
+            # true into config.json, which gives the same trials a second id
+            {"ker_dims": (1.0,)},
+            {"ker_dims": (True,)},
+            {"n_trials": 2.5},
+            {"n_trials": True},
+            {"seed": 1.5},
+            {"seed": True},
+            {"samples": 64.0},
+            {"samples": np.int64(64)},
+        ],
+    )
     def test_invalid_config_creates_nothing(self, tmp_path, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             run_campaign(CampaignConfig(**{"n_trials": 3, "seed": 1, **bad}), root=tmp_path / "runs")
         assert not (tmp_path / "runs").exists()
 
