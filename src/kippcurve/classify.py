@@ -24,7 +24,8 @@ closed-form Q of the matrix, the left side off the Q of the target
 factorization.  `fit_disc` projects the support function onto a circle,
 which is how the search harness decides circularity of the numerical range.
 Both `fit_disc` and `classify_curve` take a stack of matrices as well as
-one, and run their spectral stages once over the whole stack.
+one, and run their spectral stages, and the point peel, once over the
+whole stack.
 """
 
 from __future__ import annotations
@@ -100,19 +101,28 @@ def disc_verdict(fit: DiscFit, tol_disc: float = DISC_TOL) -> bool:
 # --- polynomial peeling ---
 
 
-def divide_linear(p: HomoPoly3, lam) -> tuple[HomoPoly3, float]:
+def divide_linear(p, lam):
     """Synthetic division of p by the monic linear form z + Re(lam) x + Im(lam) y.
 
     Returns (quotient, residual) with the residual being the max-norm of
-    the remainder's coefficients relative to p's.  lam must be finite.
+    the remainder's coefficients relative to p's.  lam must be finite.  A
+    list of forms of one degree and a sequence of as many lam give the
+    list of those pairs, row by row, from one stacked `divide`.
     """
-    _check_finite(lam=lam)
-    if p.degree < 1:
+    single = isinstance(p, HomoPoly3)
+    ps, lams = ([p], [lam]) if single else (list(p), list(lam))
+    for z in lams:
+        _check_finite(lam=z)
+    if len(lams) != len(ps) or len({q.degree for q in ps}) != 1:
+        raise ValueError("need as many lam as forms, all of one degree")
+    if ps[0].degree < 1:
         raise ValueError("cannot divide a constant")
-    quot, rem = divide(p.c, _lin(complex(lam)))
-    pmax = max_abs_coeff(p)
-    resid = float(np.max(np.abs(rem))) / pmax if pmax > 0.0 else 0.0
-    return HomoPoly3(quot), resid
+    cs = np.stack([q.c for q in ps])
+    quot, rem = divide(cs, np.stack([_lin(complex(z)) for z in lams]))
+    pmax = np.max(np.abs(cs), axis=(1, 2))
+    resid = np.max(np.abs(rem), axis=(1, 2)) / np.where(pmax > 0.0, pmax, 1.0)
+    out = [(HomoPoly3(q), float(r)) for q, r in zip(quot, resid)]
+    return out[0] if single else out
 
 
 def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
@@ -121,9 +131,10 @@ def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
     For p of degree at most 5, t = r^2 sits only in the conic's z^0
     layer, which the division multiplies into the quotient only from its
     t-free top two layers: the quotient is exactly q0 + t (q1 - q0) and
-    the remainder u0 + u1 t + u2 t^2, so three divisions (t = 0, 1, 2)
-    give both.  The optimal t comes from the real critical points of
-    the remainder's squared norm, each candidate scored on that quadratic.
+    the remainder u0 + u1 t + u2 t^2, so three divisions (t = 0, 1, 2),
+    one stacked `divide`, give both.  The optimal t comes from the real
+    critical points of the remainder's squared norm, each candidate
+    scored on that quadratic.
     A critical point within roundoff of 0, |t| <= 1e-13 s^2 with
     s = max(1, |li|, |lj|), is the t = 0 candidate, so r resolves down
     to about 3e-7 s and anything smaller comes out as exactly 0.  Among
@@ -142,8 +153,8 @@ def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
         raise ValueError("zero polynomial")
 
     lij = mul(_lin(li), _lin(lj))  # the divisor at t is lij - t (x^2+y^2)/4
-    divs = [divide(p.c, lij - t * _E4) for t in (0.0, 1.0, 2.0)]
-    r0, r1m, r2m = (rem.ravel() for _, rem in divs)
+    quots, rems = divide(p.c, np.stack([lij - t * _E4 for t in (0.0, 1.0, 2.0)]))
+    r0, r1m, r2m = rems.reshape(3, -1)
     u2 = (r2m - 2.0 * r1m + r0) / 2.0
     u1 = r1m - r0 - u2
     u0 = r0
@@ -182,7 +193,7 @@ def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
     if best < -tol:
         raise NegativeMinorAxisSquared(f"fitted axis square {best:.3e}")
     best = max(best, 0.0)
-    (q0, _), (q1, _), _ = divs
+    q0, q1, _ = quots
     return float(np.sqrt(best)), HomoPoly3(q0 + best * (q1 - q0)), remainder_residual(best)
 
 
@@ -569,9 +580,12 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> Curve | list[Curve]:
     and positive.
 
     The eigenvalues, the pencil sweep, its polynomial fit and `_screen`
-    run once over the whole stack.  Division decides every factor, matrix
-    by matrix; `_screen` skips the points and foci pairs that the pencil's
-    eigenvalues rule out, so they are never divided.
+    run once over the whole stack.  Division decides every factor;
+    `_screen` skips the points and foci pairs that the pencil's
+    eigenvalues rule out, so they are never divided.  The points come off
+    position by position over the stack, one stacked `divide_linear` per
+    current degree among the matrices whose point there passed the
+    screen; `_peel` takes off the conics and the flat cubic matrix by matrix.
     """
     _check_tol(tol)
     ms, single = as_stack(a)
@@ -582,25 +596,34 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> Curve | list[Curve]:
     thetas, lams = _sweep(ms)
     coefs = _fit_sweep(lams)
     point_ok, pair_ok = _screen(np.array(eigs), thetas, lams, coefs, tol)
-    curves = [_peel(*args, tol) for args in zip(ms, eigs, coefs, point_ok, pair_ok)]
+    curs = [HomoPoly3(c) for c in coefs]
+    points = [[] for _ in curs]
+    remaining = [[] for _ in curs]  # positions in eigs
+    # one pass: z + L_a that does not divide p cannot divide p / (z + L_b)
+    for i in range(5):
+        groups: dict = {}  # current degree -> the matrices whose point i passed the screen
+        for b in range(len(curs)):
+            if point_ok[b, i]:
+                groups.setdefault(curs[b].degree, []).append(b)
+            else:
+                remaining[b].append(i)
+        for bs in groups.values():
+            for b, (quot, resid) in zip(bs, divide_linear([curs[b] for b in bs], [eigs[b][i] for b in bs])):
+                if resid < tol:
+                    points[b].append(PointComponent(complex(eigs[b][i])))
+                    curs[b] = quot
+                else:
+                    remaining[b].append(i)
+    curves = [_peel(*args, tol) for args in zip(ms, eigs, curs, points, remaining, pair_ok)]
     return curves[0] if single else curves
 
 
-def _peel(m: np.ndarray, eigs: list, coef: np.ndarray, point_ok, pair_ok, tol: float) -> Curve:
-    """`classify_curve`'s components of m from its sorted eigenvalues, polynomial and screen."""
-    cur = HomoPoly3(coef)
-    # one pass: z + L_a that does not divide p cannot divide p / (z + L_b)
-    points: list[PointComponent] = []
-    remaining = []  # positions in eigs
-    for i, z in enumerate(eigs):
-        if point_ok[i]:
-            quot, resid = divide_linear(cur, z)
-            if resid < tol:
-                points.append(PointComponent(complex(z)))
-                cur = quot
-                continue
-        remaining.append(i)
+def _peel(m: np.ndarray, eigs: list, cur: HomoPoly3, points: list, remaining: list, pair_ok, tol: float) -> Curve:
+    """`classify_curve`'s components of m from its sorted eigenvalues and screen, after the points.
 
+    cur is p with the points divided out and remaining the positions in
+    eigs of the other eigenvalues; the conics and the flat cubic come off here.
+    """
     ellipses: list[EllipseComponent] = []
     while cur.degree >= 2 and len(remaining) >= 2:
         best = None

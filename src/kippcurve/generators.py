@@ -2,7 +2,8 @@
 
 Deterministic builders (shift blocks, two-ellipse direct sums, the flat
 3x3 family, the one-parameter 5x5 contraction family) plus seeded random
-partial isometries with prescribed kernel dimension.
+partial isometries with prescribed kernel dimension, one seed or a stack
+of them, whose Haar unitaries come from one stacked QR.
 """
 
 from __future__ import annotations
@@ -95,31 +96,46 @@ def flat_3x3(l3, l4, l5, theta: float, mu: float, phase_a: float = 0.0, phase_b:
     )
 
 
+def _unitaries(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from standard normal draws g of shape (..., 2, n, n), by one stacked QR.
+
+    Each is the Q of (g[0] + i g[1]) / sqrt 2, its columns rotated by the
+    phases of R's diagonal so that the distribution is Haar.
+    """
+    q, r = np.linalg.qr((g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    ph = np.where(np.abs(d) > 0.0, d / np.abs(np.where(np.abs(d) > 0.0, d, 1.0)), 1.0)
+    return q * ph[..., None, :]
+
+
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian with phase fix."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    ph = np.where(np.abs(d) > 0.0, d / np.abs(np.where(np.abs(d) > 0.0, d, 1.0)), 1.0)
-    return q * ph
+    return _unitaries(rng.standard_normal((2, n, n)))
 
 
-def random_partial_isometry(n: int, ker_dim: int, seed: int) -> np.ndarray:
+def random_partial_isometry(n: int, ker_dim, seed) -> np.ndarray:
     """Seeded random n x n partial isometry with kernel dimension ker_dim.
 
     Zero columns padded with Haar-unitary columns, then conjugated by an
     independent Haar unitary from the same stream so the kernel sits in
-    generic position.
+    generic position.  Equal-length sequences of kernel dimensions and
+    seeds give the (B, n, n) stack of those draws, seed by seed, from one
+    QR of all 2B unitaries; one kernel dimension and seed is a stack of one.
     """
-    if n < 1 or not (0 <= ker_dim <= n):
+    single = np.ndim(ker_dim) == 0 and np.ndim(seed) == 0
+    kds, seeds = ([ker_dim], [seed]) if single else (ker_dim, seed)
+    if np.ndim(kds) != 1 or np.ndim(seeds) != 1 or not 0 < len(kds) == len(seeds):
+        raise BadDims("need one kernel dimension and seed, or equal-length non-empty sequences of them")
+    if n < 1 or not all(0 <= kd <= n for kd in kds):
         raise BadDims(f"need 0 <= ker_dim <= n, got n={n}, ker_dim={ker_dim}")
-    rng = np.random.default_rng(seed)
-    u1 = haar_unitary(n, rng)
-    a0 = np.zeros((n, n), dtype=complex)
-    if ker_dim < n:
-        a0[:, ker_dim:] = u1[:, : n - ker_dim]
-    u2 = haar_unitary(n, rng)
-    return u2 @ a0 @ u2.conj().T
+    # each seed's stream: the real and imaginary draws of u1, then of u2
+    us = _unitaries(np.stack([np.random.default_rng(s).standard_normal((2, 2, n, n)) for s in seeds]))
+    u1, u2 = us[:, 0], us[:, 1]
+    a0 = np.zeros_like(u1)
+    for a, u, kd in zip(a0, u1, kds):
+        a[:, kd:] = u[:, : n - kd]
+    mats = u2 @ a0 @ u2.conj().swapaxes(-1, -2)
+    return mats[0] if single else mats
 
 
 def _disc_draw(rng: np.random.Generator, lo: float, hi: float) -> complex:

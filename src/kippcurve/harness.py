@@ -9,8 +9,9 @@ generates seeded partial isometries, fits a disc to each support
 function, and records every circular range whose center strays from the
 origin; a clean campaign is evidence for origin-centered circularity.
 It runs in blocks of trials: each trial is drawn on its own child seed,
-and the disc fit and the classification each sweep the block's stack of
-matrices at once.  The run files and the campaign id go through
+the block's random partial isometries by one call whose Haar unitaries
+come from one QR, and the disc fit and the classification, points
+peeled included, each sweep the block's stack of matrices at once.  The run files and the campaign id go through
 `formats.dataclass_json`, the writer of every other document.
 """
 
@@ -25,9 +26,9 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-# _block calls the classify stages once per block, and _draw the generators once per
-# trial, through these module-level names: the benchmark's tracer swaps them to time
-# each stage, and tests patch them.
+# _block calls random_partial_isometry and the classify stages once per block, and _draw
+# the fixtures' generators once per trial, through these module-level names: the
+# benchmark's tracer swaps them to time each stage, and tests patch them.
 from .classify import (
     DISC_TOL,
     MIN_DISC_SAMPLES,
@@ -287,6 +288,14 @@ class CampaignConfig:
     samples: int = 64
     classify: bool = True
 
+    def __post_init__(self):
+        # an int tolerance runs the same trials as its float, so it is stored as that float and gets
+        # its id; one beyond float range stays an int, which _check_config rejects
+        for name in ("tol_disc", "tol_center"):
+            tol = getattr(self, name)
+            if _whole(tol) and abs(tol) <= float(np.finfo(float).max):
+                object.__setattr__(self, name, float(tol))
+
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -335,7 +344,10 @@ def _components_summary(components) -> str:
 
 
 def _draw(config: CampaignConfig, idx: int, child: np.random.SeedSequence):
-    """(generator, params, matrix, expect_circular): a fixture every _STRUCTURED_STRIDE trials, else random."""
+    """(generator, params, matrix, expect_circular): a fixture every _STRUCTURED_STRIDE trials, else random.
+
+    A random trial's matrix is None: `_block` draws them all at once from their params.
+    """
     if config.include_structured and idx % _STRUCTURED_STRIDE == 0:
         pick = (idx // _STRUCTURED_STRIDE) % 3
         if pick == 0:
@@ -350,19 +362,22 @@ def _draw(config: CampaignConfig, idx: int, child: np.random.SeedSequence):
         return "embedded_jordan4", {}, mat, True
     kd = config.ker_dims[idx % len(config.ker_dims)]
     seed = int(child.generate_state(1, dtype=np.uint64)[0])
-    params = {"n": 5, "ker_dim": int(kd), "seed": seed}
-    return "random_partial_isometry", params, random_partial_isometry(5, kd, seed), False
+    return "random_partial_isometry", {"n": 5, "ker_dim": int(kd), "seed": seed}, None, False
 
 
 def _block(config: CampaignConfig, start: int, children: list) -> list[TrialRecord]:
     """Records of trials start, start + 1, ..., one per child seed.
 
-    Each trial is drawn on its own child seed; the disc fit and the curve
+    Each trial is drawn on its own child seed: the fixtures one by one, the
+    random partial isometries by one `random_partial_isometry` call, whose
+    Haar unitaries come from one stacked QR.  The disc fit and the curve
     classification then run once on the stack of the block's matrices, and
     the flat count on each contraction-family fixture alone.
     """
     draws = [_draw(config, idx, child) for idx, child in enumerate(children, start)]
-    mats = np.stack([mat for _, _, mat, _ in draws])
+    todo = [params for _, params, mat, _ in draws if mat is None]
+    drawn = iter(random_partial_isometry(5, [p["ker_dim"] for p in todo], [p["seed"] for p in todo]) if todo else ())
+    mats = np.stack([next(drawn) if mat is None else mat for _, _, mat, _ in draws])
     fits = fit_disc(mats, config.samples)
     summaries = [_components_summary(c) for c in classify_curve(mats)] if config.classify else [""] * len(draws)
     return [
@@ -379,7 +394,7 @@ def _block(config: CampaignConfig, start: int, children: list) -> list[TrialReco
             expect_circular=expect,
             flat_candidates=len(detect_flat(mat)) if gen == "s5_zero" else 0,
         )
-        for idx, ((gen, params, mat, expect), fit, summary) in enumerate(zip(draws, fits, summaries), start)
+        for idx, ((gen, params, _, expect), mat, fit, summary) in enumerate(zip(draws, mats, fits, summaries), start)
     ]
 
 
@@ -415,11 +430,15 @@ def _check_config(config: CampaignConfig) -> None:
         raise ValueError(f"n_trials must be a positive integer, got {config.n_trials!r}")
     if not _whole(config.seed) or config.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
-    _check_tol(config.tol_disc, "tol_disc")
-    _check_tol(config.tol_center, "tol_center")
+    for name in ("tol_disc", "tol_center"):
+        tol = getattr(config, name)
+        if not isinstance(tol, float):  # an int is its float by now, and a bool would write true
+            raise ValueError(f"{name} must be a real number, got {tol!r}")
+        _check_tol(tol, name)
     if not _whole(config.samples) or config.samples < MIN_DISC_SAMPLES:
         raise ValueError(f"samples must be an integer of at least {MIN_DISC_SAMPLES}, got {config.samples!r}")
-    if not config.ker_dims or not all(_whole(d) and 0 <= d <= 5 for d in config.ker_dims):
+    dims = config.ker_dims
+    if not isinstance(dims, (tuple, list)) or not dims or not all(_whole(d) and 0 <= d <= 5 for d in dims):
         raise ValueError(f"ker_dims must be a non-empty choice of integers from 0..5, got {config.ker_dims!r}")
 
 

@@ -10,10 +10,18 @@ The product of two forms is a 2-D convolution of their arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 
 import numpy as np
+
+
+@cache
+def _beyond_degree(n: int) -> np.ndarray:
+    """Read-only mask of the entries c[j, k] with j + k > n - 1 of an n x n coefficient array."""
+    mask = np.add.outer(np.arange(n), np.arange(n)) >= n
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,7 +38,7 @@ class HomoPoly3:
         c = np.array(self.c, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] == 0:
             raise ValueError(f"coefficient array must be square and non-empty, got shape {c.shape}")
-        if np.tril(c[:, ::-1], -1).any():
+        if c[_beyond_degree(c.shape[0])].any():
             raise ValueError("coefficients beyond the degree must vanish")
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
@@ -119,24 +127,35 @@ def divide(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g has degree e and z^e coefficient 1.  Layer k of p is
     sum_{i+s=k} g_i q_s + r_k, so the quotient layers come out from the
     top and the remainder layers, z^0..z^(e-1), at the bottom.  Returns
-    the arrays of q and of r, the latter with p's shape.
+    the arrays of q and of r, the latter with p's shape.  Leading axes of
+    p and g are stack axes and broadcast, so one call divides a stack of
+    forms, or one form by a stack of divisors, row by row.
+
+    q is built with e zero rows above it and enough below, so each
+    product g_i q_s is a sum of shifted slices, in the order of g_i's
+    index; by a linear form it has two terms and gives np.convolve's bits.
     """
-    d, e = p.shape[0] - 1, g.shape[0] - 1
+    d, e = p.shape[-1] - 1, g.shape[-1] - 1
     m = d - e
     if m < 0:
         raise ValueError(f"cannot divide degree {d} by degree {e}")
-    q = np.zeros((m + 1, m + 1))
-    r = np.zeros_like(p)
+    lead = np.broadcast_shapes(p.shape[:-2], g.shape[:-2])
+    qz = np.zeros(lead + (e + d + 1, m + 1))  # row e + j holds row j of q
+    r = np.zeros(lead + p.shape[-2:])
     for k in range(d, -1, -1):
-        acc = p[: d - k + 1, k]
+        n = d - k + 1
+        acc = p[..., :n, k]
         for i in range(e - 1, -1, -1):
             if 0 <= k - i <= m:
-                acc = acc - np.convolve(g[: e - i + 1, i], q[: m - k + i + 1, k - i])
+                prod = g[..., 0, i, None] * qz[..., e : e + n, k - i]
+                for t in range(1, e - i + 1):
+                    prod = prod + g[..., t, i, None] * qz[..., e - t : e - t + n, k - i]
+                acc = acc - prod
         if k >= e:
-            q[: d - k + 1, k - e] = acc
+            qz[..., e : e + n, k - e] = acc
         else:
-            r[: d - k + 1, k] = acc
-    return q, r
+            r[..., :n, k] = acc
+    return qz[..., e : e + m + 1, :], r
 
 
 def substitute_linear(p: HomoPoly3, x_form, y_form, z_form) -> HomoPoly3:

@@ -163,6 +163,21 @@ class TestDivideLinear:
         _, resid = divide_linear(p, 0.1 + 0.2j)
         assert resid > 1e-3
 
+    def test_stack_equals_the_calls_one_by_one(self):
+        ps = [kipp_poly_det(random_partial_isometry(5, 1 + i % 3, i)) for i in range(6)] + [HomoPoly3(np.zeros((6, 6)))]
+        lams = [0.3 - 0.1j, 0.0, 1.0, -0.5j, 0.2, 2.0 + 1.0j, 0.7]
+        got = divide_linear(ps, lams)
+        assert len(got) == len(ps)
+        for (quot, resid), p, lam in zip(got, ps, lams):
+            want_quot, want_resid = divide_linear(p, lam)
+            assert (quot.c == want_quot.c).all() and resid == want_resid
+        with pytest.raises(ValueError, match="^lam must be finite"):
+            divide_linear(ps[:2], [0.1, np.nan])
+        with pytest.raises(ValueError):
+            divide_linear(ps[:2], [0.1])  # one lam short
+        with pytest.raises(ValueError):
+            divide_linear([ps[0], HomoPoly3(np.ones((2, 2)))], [0.1, 0.2])  # two degrees
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.floats(min_value=-1, max_value=1),
@@ -884,11 +899,13 @@ def screened_and_accepted(monkeypatch, a, tol):
         seen["eigs"], seen["flags"] = eigs[0], (point_ok[0], pair_ok[0])
         return np.ones_like(point_ok), np.ones_like(pair_ok)
 
-    def linear_spy(p, lam):
-        quot, resid = real_linear(p, lam)
-        if resid < tol:
-            passed.append(seen["flags"][0][_position(seen["eigs"], lam)])
-        return quot, resid
+    def linear_spy(ps, lams):
+        # classify_curve divides a stack of forms, one row per matrix, and a is the only matrix
+        out = real_linear(ps, lams)
+        for lam, (_, resid) in zip(lams, out):
+            if resid < tol:
+                passed.append(seen["flags"][0][_position(seen["eigs"], lam)])
+        return out
 
     def conic_spy(p, li, lj, tol):
         r, quot, resid = real_conic(p, li, lj, tol)

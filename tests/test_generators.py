@@ -166,11 +166,40 @@ class TestRandomPartialIsometry:
         c = random_partial_isometry(6, 2, seed=8)
         assert not np.allclose(a, c)
 
+    @pytest.mark.parametrize("kd", [0, 2, 5])
+    def test_draws_as_two_sequential_haar_unitaries(self, kd):
+        # the construction as written before the stack: two Haar unitaries from one stream,
+        # each the QR of (real + i imag) / sqrt 2 with the phase fix
+        def haar(rng):
+            z = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))) / np.sqrt(2.0)
+            q, r = np.linalg.qr(z)
+            d = np.diag(r)
+            return q * np.where(np.abs(d) > 0.0, d / np.abs(np.where(np.abs(d) > 0.0, d, 1.0)), 1.0)
+
+        rng = np.random.default_rng(31)
+        u1, u2 = haar(rng), haar(rng)
+        a0 = np.zeros((5, 5), dtype=complex)
+        a0[:, kd:] = u1[:, : 5 - kd]
+        assert (random_partial_isometry(5, kd, 31) == u2 @ a0 @ u2.conj().T).all()
+        assert (haar_unitary(5, np.random.default_rng(31)) == haar(np.random.default_rng(31))).all()
+
+    def test_stack_equals_the_calls_seed_by_seed(self):
+        kds, seeds = [0, 1, 2, 3, 5, 2], [3, 1, 4, 1, 5, 2**64 - 1]
+        stack = random_partial_isometry(5, kds, seeds)
+        assert stack.shape == (6, 5, 5)
+        for m, kd, seed in zip(stack, kds, seeds):
+            assert (m == random_partial_isometry(5, kd, seed)).all()
+            _assert_partial_isometry(m, kd)
+        assert (random_partial_isometry(5, [2], [7]) == random_partial_isometry(5, 2, 7)[None]).all()
+
     def test_bad_dims(self):
         with pytest.raises(BadDims):
             random_partial_isometry(3, 4, seed=0)
         with pytest.raises(BadDims):
             random_partial_isometry(0, 0, seed=0)
+        for kds, seeds in (([1, 4], [1, 2]), ([1, 2], [1]), ([], []), (1, [1, 2])):
+            with pytest.raises(BadDims):
+                random_partial_isometry(3, kds, seeds)
 
 
 class TestKer2Family:

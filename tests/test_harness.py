@@ -189,6 +189,14 @@ class TestCampaign:
         conjecture_campaign(CampaignConfig(n_trials=40, seed=3, include_structured=False))
         assert count_eigensolves == {"eigh": [], "eigvalsh": [40 * 32, 40 * 6]}
 
+    def test_one_stacked_qr_per_block(self, monkeypatch):
+        # 40 random trials are one block: their 80 Haar unitaries come from one QR stack
+        sizes = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, *args: sizes.append(np.size(a) // 25) or qr(a, *args))
+        conjecture_campaign(CampaignConfig(n_trials=40, seed=3, include_structured=False))
+        assert sizes == [80]
+
     def test_blocks_change_no_record(self, monkeypatch):
         # 60 trials in blocks of 7 (the last one short) against one block
         config = CampaignConfig(n_trials=60, seed=206)
@@ -278,6 +286,12 @@ class TestPersistence:
             {"seed": True},
             {"samples": 64.0},
             {"samples": np.int64(64)},
+            # not a sequence, tolerances that config.json would write as true, and an
+            # int tolerance beyond float range, which ran as if it were infinite
+            {"ker_dims": 3},
+            {"tol_disc": True},
+            {"tol_center": True},
+            {"tol_center": 10**400},
         ],
     )
     def test_invalid_config_creates_nothing(self, tmp_path, bad):
@@ -292,6 +306,17 @@ class TestPersistence:
         assert a != b
         assert a == c
         assert len(a) == 12
+
+    def test_int_tolerance_is_its_float(self, tmp_path):
+        # an int tolerance runs the same trials as its float, so both get one id and one set of bytes
+        dir_int, dir_float = (
+            run_campaign(CampaignConfig(n_trials=3, seed=1, tol_center=tol), root=tmp_path / str(tol))[0] for tol in (1, 1.0)
+        )
+        assert dir_int.name == dir_float.name
+        for name in ("config.json", "records.jsonl", "summary.json"):
+            assert (dir_int / name).read_bytes() == (dir_float / name).read_bytes()
+        assert json.loads((dir_int / "config.json").read_text())["tol_center"] == 1.0
+        assert '"tol_center": 1.0' in (dir_int / "summary.json").read_text()
 
     def test_runs_root_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("KIPP_RUNS_DIR", str(tmp_path / "via_env"))

@@ -108,6 +108,46 @@ def test_division_recovers_quotient():
             assert rem.shape == (dq + e + 1, dq + e + 1) and not rem[:, e:].any()
 
 
+def convolve_divide(p, g):
+    """divide as it was before it broadcast: one matrix, each layer product an np.convolve."""
+    d, e = p.shape[0] - 1, g.shape[0] - 1
+    m = d - e
+    q, r = np.zeros((m + 1, m + 1)), np.zeros_like(p)
+    for k in range(d, -1, -1):
+        acc = p[: d - k + 1, k]
+        for i in range(e - 1, -1, -1):
+            if 0 <= k - i <= m:
+                acc = acc - np.convolve(g[: e - i + 1, i], q[: m - k + i + 1, k - i])
+        if k >= e:
+            q[: d - k + 1, k - e] = acc
+        else:
+            r[: d - k + 1, k] = acc
+    return q, r
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_stacked_division_equals_row_by_row(e):
+    """A stack divides row by row; by a linear form exactly as np.convolve did, by a conic to 1e-15."""
+    rng = np.random.default_rng(21 + e)
+    for d in range(e, 6):
+        ps = np.stack([random_form(rng, d) for _ in range(6)])
+        gs = np.stack([random_form(rng, e) for _ in range(6)])
+        gs[:, 0, e] = 1.0
+        for quot, rem, rows in (
+            (*divide(ps, gs), zip(ps, gs)),
+            (*divide(ps[0], gs), ((ps[0], g) for g in gs)),  # one form by a stack of divisors
+        ):
+            for q, r, (p, g) in zip(quot, rem, rows):
+                q1, r1 = divide(p, g)
+                assert (q == q1).all() and (r == r1).all()
+                q0, r0 = convolve_divide(p, g)
+                if e == 1:
+                    assert (q1 == q0).all() and (r1 == r0).all()
+                else:
+                    scale = max(np.max(np.abs(q0)), np.max(np.abs(r0)))
+                    assert max(np.max(np.abs(q1 - q0)), np.max(np.abs(r1 - r0))) <= 1e-15 * scale
+
+
 def test_division_by_linear_form():
     # z^2 + 3xz - y^2 = (z + x + y)(z + 2x - y) - 2x^2 - xy
     p = HomoPoly3.from_terms(2, {(0, 0, 2): 1.0, (1, 0, 1): 3.0, (0, 2, 0): -1.0})
