@@ -47,7 +47,6 @@ from .classify import (
     classify_curve,
     detect_flat,
     disc_verdict,
-    divide_linear,
     entry_condition_rhs,
     fit_disc,
     fit_ellipse_factor,

@@ -24,8 +24,8 @@ closed-form Q of the matrix, the left side off the Q of the target
 factorization.  `fit_disc` projects the support function onto a circle,
 which is how the search harness decides circularity of the numerical range.
 Both `fit_disc` and `classify_curve` take a stack of matrices as well as
-one, and run their spectral stages, and the point peel, once over the
-whole stack.
+one, and run their spectral stages once over the whole stack; the point
+peel divides the stack's forms of one degree in one `divide` call.
 """
 
 from __future__ import annotations
@@ -99,30 +99,6 @@ def disc_verdict(fit: DiscFit, tol_disc: float = DISC_TOL) -> bool:
 
 
 # --- polynomial peeling ---
-
-
-def divide_linear(p, lam):
-    """Synthetic division of p by the monic linear form z + Re(lam) x + Im(lam) y.
-
-    Returns (quotient, residual) with the residual being the max-norm of
-    the remainder's coefficients relative to p's.  lam must be finite.  A
-    list of forms of one degree and a sequence of as many lam give the
-    list of those pairs, row by row, from one stacked `divide`.
-    """
-    single = isinstance(p, HomoPoly3)
-    ps, lams = ([p], [lam]) if single else (list(p), list(lam))
-    for z in lams:
-        _check_finite(lam=z)
-    if len(lams) != len(ps) or len({q.degree for q in ps}) != 1:
-        raise ValueError("need as many lam as forms, all of one degree")
-    if ps[0].degree < 1:
-        raise ValueError("cannot divide a constant")
-    cs = np.stack([q.c for q in ps])
-    quot, rem = divide(cs, np.stack([_lin(complex(z)) for z in lams]))
-    pmax = np.max(np.abs(cs), axis=(1, 2))
-    resid = np.max(np.abs(rem), axis=(1, 2)) / np.where(pmax > 0.0, pmax, 1.0)
-    out = [(HomoPoly3(q), float(r)) for q, r in zip(quot, resid)]
-    return out[0] if single else out
 
 
 def fit_ellipse_factor(p: HomoPoly3, li, lj, tol: float = DEFAULT_TOL):
@@ -267,24 +243,12 @@ def _newton_min(h, k, x: np.ndarray, step: float, j: np.ndarray, rate: float, sl
 def _dedupe(cands) -> list[tuple[float, float]]:
     """The candidates (theta, mu) in order, but for each within 1e-6 in both of one kept before it, theta mod pi.
 
-    theta lies in [0, pi].  The kept candidates sit in cells of a 1e-6 grid
-    in (theta, mu), so each candidate is compared, by the same rule, only
-    with those in the cells within 1.5e-6 of it, and of theta -+ pi near
-    the wrap; the half-cell margin covers the rounding of the rule's distances.
+    theta lies in [0, pi]; each candidate is compared with every one kept before it.
     """
-    cell, reach = 1e-6, 1.5e-6
-
-    def span(x: float) -> range:
-        return range(int((x - reach) // cell), int((x + reach) // cell) + 1)
-
-    grid: dict = {}
     out = []
     for th, mu in cands:
-        ths = [th] + [th + np.pi] * (th < reach) + [th - np.pi] * (th > np.pi - reach)
-        near = (kept for t in ths for i in span(t) for j in span(mu) for kept in grid.get((i, j), ()))
-        if not any(min(abs(th - t0), np.pi - abs(th - t0)) < 1e-6 and abs(mu - m0) < 1e-6 for t0, m0 in near):
+        if not any(min(abs(th - t0), np.pi - abs(th - t0)) < 1e-6 and abs(mu - m0) < 1e-6 for t0, m0 in out):
             out.append((th, mu))
-            grid.setdefault((int(th // cell), int(mu // cell)), []).append((th, mu))
     return out
 
 
@@ -583,9 +547,9 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> Curve | list[Curve]:
     run once over the whole stack.  Division decides every factor;
     `_screen` skips the points and foci pairs that the pencil's
     eigenvalues rule out, so they are never divided.  The points come off
-    position by position over the stack, one stacked `divide_linear` per
-    current degree among the matrices whose point there passed the
-    screen; `_peel` takes off the conics and the flat cubic matrix by matrix.
+    position by position over the stack, one stacked `divide` per current
+    degree among the matrices whose point there passed the screen; `_peel`
+    takes off the conics and the flat cubic matrix by matrix.
     """
     _check_tol(tol)
     ms, single = as_stack(a)
@@ -608,10 +572,14 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> Curve | list[Curve]:
             else:
                 remaining[b].append(i)
         for bs in groups.values():
-            for b, (quot, resid) in zip(bs, divide_linear([curs[b] for b in bs], [eigs[b][i] for b in bs])):
+            cs = np.stack([curs[b].c for b in bs])
+            quots, rems = divide(cs, np.stack([_lin(eigs[b][i]) for b in bs]))
+            # the forms are monic in z, so max|c| >= 1
+            resids = (np.max(np.abs(rems), axis=(1, 2)) / np.max(np.abs(cs), axis=(1, 2))).tolist()
+            for b, quot, resid in zip(bs, quots, resids):
                 if resid < tol:
                     points[b].append(PointComponent(complex(eigs[b][i])))
-                    curs[b] = quot
+                    curs[b] = HomoPoly3(quot)
                 else:
                     remaining[b].append(i)
     curves = [_peel(*args, tol) for args in zip(ms, eigs, curs, points, remaining, pair_ok)]

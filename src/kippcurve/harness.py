@@ -10,9 +10,9 @@ function, and records every circular range whose center strays from the
 origin; a clean campaign is evidence for origin-centered circularity.
 It runs in blocks of trials: each trial is drawn on its own child seed,
 the block's random partial isometries by one call whose Haar unitaries
-come from one QR, and the disc fit and the classification, points
-peeled included, each sweep the block's stack of matrices at once.  The run files and the campaign id go through
-`formats.dataclass_json`, the writer of every other document.
+come from one QR, and the disc fit and the classification each take the
+block's stack at once, its points peeled by one `divide` per position and degree.
+The run files and the campaign id go through `formats.dataclass_json`, the writer of every other document.
 """
 
 from __future__ import annotations

@@ -6,8 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import kippcurve.classify as classify_mod
 from kippcurve.classify import (
@@ -15,7 +13,6 @@ from kippcurve.classify import (
     classify_curve,
     detect_flat,
     disc_verdict,
-    divide_linear,
     entry_condition_rhs,
     fit_disc,
     fit_ellipse_factor,
@@ -142,63 +139,6 @@ class TestFitDisc:
 # --- linear and quadratic factor peeling ---
 
 
-class TestDivideLinear:
-    def test_planted_factor(self):
-        lam = 0.4 - 0.3j
-        q = HomoPoly3.from_terms(2, {(2, 0, 0): 1.0, (1, 1, 0): -0.7, (0, 0, 2): 2.0, (1, 0, 1): 0.3})
-        p = HomoPoly3(mul(lin(lam), q.c))
-        quot, resid = divide_linear(p, lam)
-        assert resid < 1e-12
-        for key, c in q.coeffs.items():
-            assert abs(quot.coeff(*key) - c) < 1e-10
-
-    @pytest.mark.parametrize("lam", [np.nan, np.inf, complex(0.1, -np.inf)])
-    def test_nonfinite_point_rejected(self, lam):
-        # an infinite point gave a nan quotient and no error
-        with pytest.raises(ValueError, match="^lam must be finite"):
-            divide_linear(kipp_poly_det(np.diag([0.5, -0.5])), lam)
-
-    def test_wrong_eigenvalue_leaves_residual(self):
-        p = kipp_poly_det(np.diag([0.5, -0.5]))
-        _, resid = divide_linear(p, 0.1 + 0.2j)
-        assert resid > 1e-3
-
-    def test_stack_equals_the_calls_one_by_one(self):
-        ps = [kipp_poly_det(random_partial_isometry(5, 1 + i % 3, i)) for i in range(6)] + [HomoPoly3(np.zeros((6, 6)))]
-        lams = [0.3 - 0.1j, 0.0, 1.0, -0.5j, 0.2, 2.0 + 1.0j, 0.7]
-        got = divide_linear(ps, lams)
-        assert len(got) == len(ps)
-        for (quot, resid), p, lam in zip(got, ps, lams):
-            want_quot, want_resid = divide_linear(p, lam)
-            assert (quot.c == want_quot.c).all() and resid == want_resid
-        with pytest.raises(ValueError, match="^lam must be finite"):
-            divide_linear(ps[:2], [0.1, np.nan])
-        with pytest.raises(ValueError):
-            divide_linear(ps[:2], [0.1])  # one lam short
-        with pytest.raises(ValueError):
-            divide_linear([ps[0], HomoPoly3(np.ones((2, 2)))], [0.1, 0.2])  # two degrees
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.floats(min_value=-1, max_value=1),
-        st.floats(min_value=-1, max_value=1),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_round_trip_random_quotient(self, re, im, seed):
-        """Dividing L*Q by L always recovers Q with tiny residual."""
-        rng = np.random.default_rng(seed)
-        keys = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
-        q = HomoPoly3.from_terms(2, {k: float(c) for k, c in zip(keys, rng.uniform(-2, 2, size=6))})
-        lam = complex(re, im)
-        p = HomoPoly3(mul(lin(lam), q.c))
-        if not p.coeffs:
-            return
-        quot, resid = divide_linear(p, lam)
-        assert resid < 1e-10
-        for key, c in q.coeffs.items():
-            assert abs(quot.coeff(*key) - c) < 1e-8
-
-
 class TestFitEllipseFactor:
     def test_planted_pair(self):
         l1, l2 = 0.3 + 0.1j, -0.2 - 0.4j
@@ -264,6 +204,11 @@ class TestFitEllipseFactor:
         p = kipp_poly_det(two_ellipse_block(l1, l2, 0.1, -0.3, 0.0, 0.8, 0.4))
         with pytest.raises(ValueError, match="tol"):
             fit_ellipse_factor(p, l1, l2, tol)
+
+    def test_zero_polynomial_rejected(self):
+        # its remainder relative to p would be 0 / 0
+        with pytest.raises(ValueError, match="^zero polynomial$"):
+            fit_ellipse_factor(HomoPoly3(np.zeros((4, 4))), 0.3, -0.2)
 
     @pytest.mark.parametrize("name, li, lj", [("li", np.inf, 0.0), ("lj", 0.3, complex(np.nan, 0.0))])
     def test_nonfinite_focus_rejected(self, name, li, lj):
@@ -503,14 +448,8 @@ class TestFlatDrop:
             assert half <= (np.linalg.norm(h, 2) + np.linalg.norm(k, 2)) / np.cos(np.pi / 512) * (1.0 + 1e-14)
 
     def test_dedupe_matches_pairwise_scan(self):
-        # candidates clustered around the wrap at pi and around cell edges
-        def pairwise(cands):
-            out = []
-            for th, mu in cands:
-                if not any(min(abs(th - t0), np.pi - abs(th - t0)) < 1e-6 and abs(mu - m0) < 1e-6 for t0, m0 in out):
-                    out.append((th, mu))
-            return out
-
+        # candidates clustered around the wrap at pi and within a few 1e-6 of each other;
+        # the reference scan pins the rule for any faster _dedupe
         rng = np.random.default_rng(2108)
         for _ in range(500):
             n = int(rng.integers(1, 40))
@@ -519,7 +458,7 @@ class TestFlatDrop:
             th = np.mod(th + rng.normal(scale=rng.choice([1e-7, 1e-6, 3e-6]), size=n), np.pi)
             mu = mu + rng.normal(scale=rng.choice([1e-7, 1e-6, 3e-6]), size=n)
             cands = list(zip(th.tolist(), mu.tolist()))
-            assert classify_mod._dedupe(cands) == pairwise(cands)
+            assert classify_mod._dedupe(cands) == pairwise_dedupe(cands)
 
     def test_dedupe_of_a_scalar_matrix_matches_pairwise_scan(self, monkeypatch):
         # 0.3 I has 1024 candidates, 4 at each of the 256 grid directions
@@ -758,6 +697,25 @@ class TestClassifyCurve:
         assert abs(flat.mu - 0.5) < 1e-6
         assert len(flat.foci) == 3
 
+    def test_flat_direction_with_small_weights_skipped(self, monkeypatch):
+        # each weight mu_j = Re(e^{-i theta} l_j) + mu is 0.02, so their product 8e-6
+        # is above tol 1e-7, where the flat cubic is matched, and at most tol 1e-5,
+        # where the planted direction is still detected but skipped before the model fit
+        theta, mu = 0.7, 0.2
+        trio = [(0.02 - mu + 1j * y) * np.exp(1j * theta) for y in (0.3, -0.2, 0.05)]
+        a = scipy.linalg.block_diag(np.diag([0.9 + 0.5j, -0.8 - 0.6j]), flat_3x3(*trio, theta, mu))
+        comps = classify_curve(a, 1e-7)
+        assert [c.kind for c in comps] == ["point", "point", "flat_quartic"]
+        assert abs(comps[2].theta - theta) < 1e-9 and abs(comps[2].mu - mu) < 1e-9
+        modelled = []
+        real_model = classify_mod._flat_model
+        monkeypatch.setattr(classify_mod, "_flat_model", lambda t, m, th: modelled.append(th) or real_model(t, m, th))
+        comps = classify_curve(a, 1e-5)
+        assert [c.kind for c in comps] == ["point", "point", "unclassified"]
+        assert comps[2].degree == 3
+        assert min(abs(th - theta) for th, _ in detect_flat(a, 1e-5)) < 1e-9
+        assert all(abs(th - theta) > 1e-6 for th in modelled)
+
     @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
     def test_meaningless_tol_rejected(self, tol):
         # nan, 0 and -1 would report one unclassified quintic, inf five points
@@ -889,7 +847,7 @@ def screened_and_accepted(monkeypatch, a, tol):
     the screen's verdict on every candidate that a division accepted)."""
     screened = classify_curve(a, tol)
     real_screen = classify_mod._screen
-    real_linear, real_conic = classify_mod.divide_linear, classify_mod.fit_ellipse_factor
+    real_divide, real_conic = classify_mod.divide, classify_mod.fit_ellipse_factor
     seen = {}
     passed = []
 
@@ -899,13 +857,16 @@ def screened_and_accepted(monkeypatch, a, tol):
         seen["eigs"], seen["flags"] = eigs[0], (point_ok[0], pair_ok[0])
         return np.ones_like(point_ok), np.ones_like(pair_ok)
 
-    def linear_spy(ps, lams):
-        # classify_curve divides a stack of forms, one row per matrix, and a is the only matrix
-        out = real_linear(ps, lams)
-        for lam, (_, resid) in zip(lams, out):
-            if resid < tol:
-                passed.append(seen["flags"][0][_position(seen["eigs"], lam)])
-        return out
+    def divide_spy(p, g):
+        # the point peel divides a stack of forms by linear forms z + Re(lam) x + Im(lam) y,
+        # one row per matrix, and a is the only matrix; fit_ellipse_factor's conics are 3 x 3
+        quot, rem = real_divide(p, g)
+        if g.shape[-2:] == (2, 2):
+            resid = np.max(np.abs(rem), axis=(-2, -1)) / np.max(np.abs(p), axis=(-2, -1))
+            for form, r in zip(g.reshape(-1, 2, 2), resid.ravel()):
+                if r < tol:
+                    passed.append(seen["flags"][0][_position(seen["eigs"], complex(form[0, 0], form[1, 0]))])
+        return quot, rem
 
     def conic_spy(p, li, lj, tol):
         r, quot, resid = real_conic(p, li, lj, tol)
@@ -917,7 +878,7 @@ def screened_and_accepted(monkeypatch, a, tol):
 
     with monkeypatch.context() as mp:
         mp.setattr(classify_mod, "_screen", screen_off)
-        mp.setattr(classify_mod, "divide_linear", linear_spy)
+        mp.setattr(classify_mod, "divide", divide_spy)
         mp.setattr(classify_mod, "fit_ellipse_factor", conic_spy)
         unscreened = classify_curve(a, tol)
     return screened, unscreened, passed

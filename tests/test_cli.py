@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import scipy.linalg
 from click.testing import CliRunner
 
+import kippcurve.cli as cli_mod
 from kippcurve import formats
 from kippcurve.classify import fit_disc
 from kippcurve.cli import main
@@ -399,6 +401,17 @@ def test_identities_command(runner):
     assert doc["oracle"]["passed"] is True
     assert doc["s5"]["passed"] is True
     assert doc["ker2"]["passed"] is True
+
+
+def test_identities_failed_suite_exits_1(runner, monkeypatch):
+    # a suite that reports passed=False turns the exit code to 1; its document is still written
+    real = cli_mod.ker2_identity_check
+    monkeypatch.setattr(cli_mod, "ker2_identity_check", lambda *args: dataclasses.replace(real(*args), passed=False))
+    res = runner.invoke(main, ["identities", "--count", "5", "--seed", "42"])
+    assert res.exit_code == 1
+    doc = json.loads(res.output)
+    assert doc["oracle"]["passed"] is True
+    assert doc["ker2"]["passed"] is False
 
 
 @pytest.mark.parametrize(

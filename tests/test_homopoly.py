@@ -56,6 +56,12 @@ def test_max_coeff_diff_symmetric():
     assert max_coeff_diff(p, q) == max_coeff_diff(q, p) == 2.0
 
 
+def test_max_coeff_diff_of_two_degrees_rejected():
+    p = HomoPoly3.from_terms(1, {(1, 0, 0): 1.0})
+    with pytest.raises(ValueError, match="^degrees differ: 1 and 2$"):
+        max_coeff_diff(p, HomoPoly3.from_terms(2, {(2, 0, 0): 1.0}))
+
+
 def test_terms_round_trip():
     terms = {(2, 0, 1): 1.5, (0, 3, 0): -2.0, (1, 1, 1): 0.5, (0, 0, 3): 1.0, (3, 0, 0): 0.0}
     p = HomoPoly3.from_terms(3, terms)
@@ -146,6 +152,13 @@ def test_stacked_division_equals_row_by_row(e):
                 else:
                     scale = max(np.max(np.abs(q0)), np.max(np.abs(r0)))
                     assert max(np.max(np.abs(q1 - q0)), np.max(np.abs(r1 - r0))) <= 1e-15 * scale
+
+
+def test_division_by_a_higher_degree_rejected():
+    g = np.zeros((3, 3))
+    g[0, 2] = 1.0  # z^2
+    with pytest.raises(ValueError, match="^cannot divide degree 1 by degree 2$"):
+        divide(linear(1.0, 0.0, 1.0), g)
 
 
 def test_division_by_linear_form():
