@@ -538,9 +538,9 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> Curve | list[Curve]:
     fitted minor axis become ellipses, and a leftover cubic is matched
     against the flat-portion model at every detected collision direction.
     Whatever resists all three stages is reported unclassified with its
-    degree.  Components are ordered points, ellipses, then cubic-level
-    components, each sorted deterministically, in a `Curve`.  A stack of
-    matrices gives a list of curves, one per matrix.  tol must be finite
+    degree.  A `Curve` lists the points, the ellipses sorted by foci, and
+    the cubic-level components; points and foci keep eigenvalue order.
+    A stack gives a list of curves, one per matrix.  tol must be finite
     and positive.
 
     The eigenvalues, the pencil sweep, its polynomial fit and `_screen`
@@ -578,7 +578,7 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> Curve | list[Curve]:
             resids = (np.max(np.abs(rems), axis=(1, 2)) / np.max(np.abs(cs), axis=(1, 2))).tolist()
             for b, quot, resid in zip(bs, quots, resids):
                 if resid < tol:
-                    points[b].append(PointComponent(complex(eigs[b][i])))
+                    points[b].append(PointComponent(eigs[b][i]))
                     curs[b] = HomoPoly3(quot)
                 else:
                     remaining[b].append(i)
@@ -589,8 +589,8 @@ def classify_curve(a, tol: float = DEFAULT_TOL) -> Curve | list[Curve]:
 def _peel(m: np.ndarray, eigs: list, cur: HomoPoly3, points: list, remaining: list, pair_ok, tol: float) -> Curve:
     """`classify_curve`'s components of m from its sorted eigenvalues and screen, after the points.
 
-    cur is p with the points divided out and remaining the positions in
-    eigs of the other eigenvalues; the conics and the flat cubic come off here.
+    cur is p less the points, remaining the ascending positions in eigs of
+    the rest; the conics and the flat cubic come off here, foci in order.
     """
     ellipses: list[EllipseComponent] = []
     while cur.degree >= 2 and len(remaining) >= 2:
@@ -607,12 +607,7 @@ def _peel(m: np.ndarray, eigs: list, cur: HomoPoly3, points: list, remaining: li
         if best is None:
             break
         _, r, quot, i, j = best
-        f1, f2 = sorted((eigs[i], eigs[j]), key=_lex_key)
-        if r <= tol:
-            points.append(PointComponent(complex(f1)))
-            points.append(PointComponent(complex(f2)))
-        else:
-            ellipses.append(EllipseComponent(complex(f1), complex(f2), float(r)))
+        ellipses.append(EllipseComponent(eigs[i], eigs[j], float(r)))  # i < j, so the foci are in lex order
         remaining.remove(i)
         remaining.remove(j)
         cur = quot
@@ -621,24 +616,23 @@ def _peel(m: np.ndarray, eigs: list, cur: HomoPoly3, points: list, remaining: li
     if cur.degree == 3 and len(remaining) == 3:
         trio = [eigs[i] for i in remaining]
         scale = max(1.0, max_abs_coeff(cur))
+        floor = tol * max(1.0, max(map(abs, eigs))) ** 3  # the weights are lengths: tol max(1, rho)^3 for their product
         best = None
         for th, mu in detect_flat(m, tol=max(tol, 1e-9)):
             w = np.exp(-1j * th)
             mus = [(w * l).real + mu for l in trio]
-            if abs(mus[0] * mus[1] * mus[2]) <= tol:
+            if abs(mus[0] * mus[1] * mus[2]) <= floor:
                 continue
             diff = max_coeff_diff(cur, _flat_model(trio, mus, th)) / scale
             if diff < _FLAT_FIT_TOL and (best is None or diff < best[0]):
                 best = (diff, th, mu)
         if best is not None:
             _, th, mu = best
-            foci = tuple(sorted((complex(l) for l in trio), key=_lex_key))
-            tail.append(FlatQuarticComponent(foci, float(th), float(mu)))
+            tail.append(FlatQuarticComponent(tuple(trio), float(th), float(mu)))
             cur = HomoPoly3(np.ones((1, 1)))
     if cur.degree >= 1:
         tail.append(UnclassifiedComponent(cur.degree))
 
-    points.sort(key=lambda c: _lex_key(c.location))
     ellipses.sort(key=lambda c: (_lex_key(c.focus1), _lex_key(c.focus2), -c.minor_axis))
     return Curve([*points, *ellipses, *tail])
 

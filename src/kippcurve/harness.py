@@ -279,6 +279,16 @@ def ker2_identity_check(count: int, seed: int) -> Ker2IdentityReport:
 
 @dataclass(frozen=True)
 class CampaignConfig:
+    """A campaign's trial plan, checked when it is built: a config that exists is valid.
+
+    Tolerances that are not finite and positive, fewer than
+    `MIN_DISC_SAMPLES` support samples, kernel dimensions that no trial
+    could draw, a negative seed and counts that are not Python ints
+    (bools included) raise `ValueError`.  Configs that run the same
+    trials share one id: an int tolerance is stored as its float, and
+    ker_dims, which trial idx reads at idx % len, as its shortest period.
+    """
+
     n_trials: int
     seed: int
     ker_dims: tuple = (1, 2, 3)
@@ -289,12 +299,27 @@ class CampaignConfig:
     classify: bool = True
 
     def __post_init__(self):
-        # an int tolerance runs the same trials as its float, so it is stored as that float and gets
-        # its id; one beyond float range stays an int, which _check_config rejects
+        if not _whole(self.n_trials) or self.n_trials <= 0:
+            raise ValueError(f"n_trials must be a positive integer, got {self.n_trials!r}")
+        if not _whole(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name in ("tol_disc", "tol_center"):
             tol = getattr(self, name)
+            # an int is stored as its float, which runs the same trials; one beyond float range is rejected
             if _whole(tol) and abs(tol) <= float(np.finfo(float).max):
-                object.__setattr__(self, name, float(tol))
+                tol = float(tol)
+                object.__setattr__(self, name, tol)
+            if not isinstance(tol, float):  # a bool would write true
+                raise ValueError(f"{name} must be a real number, got {tol!r}")
+            _check_tol(tol, name)
+        if not _whole(self.samples) or self.samples < MIN_DISC_SAMPLES:
+            raise ValueError(f"samples must be an integer of at least {MIN_DISC_SAMPLES}, got {self.samples!r}")
+        dims = self.ker_dims
+        if not isinstance(dims, (tuple, list)) or not dims or not all(_whole(d) and 0 <= d <= 5 for d in dims):
+            raise ValueError(f"ker_dims must be a non-empty choice of integers from 0..5, got {dims!r}")
+        # the shortest period is the smallest rotation that leaves dims as it is
+        period = next(k for k in range(1, len(dims) + 1) if dims[k:] + dims[:k] == dims)
+        object.__setattr__(self, "ker_dims", tuple(dims[:period]))
 
 
 @dataclass(frozen=True)
@@ -424,24 +449,6 @@ def _whole(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_config(config: CampaignConfig) -> None:
-    # every check a config can fail, so that none fails after the first trial
-    if not _whole(config.n_trials) or config.n_trials <= 0:
-        raise ValueError(f"n_trials must be a positive integer, got {config.n_trials!r}")
-    if not _whole(config.seed) or config.seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {config.seed!r}")
-    for name in ("tol_disc", "tol_center"):
-        tol = getattr(config, name)
-        if not isinstance(tol, float):  # an int is its float by now, and a bool would write true
-            raise ValueError(f"{name} must be a real number, got {tol!r}")
-        _check_tol(tol, name)
-    if not _whole(config.samples) or config.samples < MIN_DISC_SAMPLES:
-        raise ValueError(f"samples must be an integer of at least {MIN_DISC_SAMPLES}, got {config.samples!r}")
-    dims = config.ker_dims
-    if not isinstance(dims, (tuple, list)) or not dims or not all(_whole(d) and 0 <= d <= 5 for d in dims):
-        raise ValueError(f"ker_dims must be a non-empty choice of integers from 0..5, got {config.ker_dims!r}")
-
-
 def conjecture_campaign(config: CampaignConfig) -> tuple[list, CampaignSummary]:
     """Run the seeded trial plan and summarize circularity versus center location.
 
@@ -449,17 +456,11 @@ def conjecture_campaign(config: CampaignConfig) -> tuple[list, CampaignSummary]:
     modulus at least tol_center; the campaign passes when there are
     none, structured circular fixtures are all detected circular, and
     no flat candidate shows up on the contraction-family fixtures.
-    Tolerances that are not finite and positive would decide nothing
-    and are rejected, as are fewer than `MIN_DISC_SAMPLES` support
-    samples, kernel dimensions that no trial could draw, a negative
-    seed and counts that are not Python ints (bools included), all
-    before the first trial.
 
     Trial idx is drawn on child seed idx of `config.seed` whatever the
     block it falls in, and `_block` fits and classifies up to `_BLOCK`
     trials as one stack, so the records do not depend on the block size.
     """
-    _check_config(config)
     children = np.random.SeedSequence(config.seed).spawn(config.n_trials)
     records = []
     for start in range(0, config.n_trials, _BLOCK):
@@ -485,10 +486,9 @@ def run_campaign(config: CampaignConfig, root=None):
 
     Layout: <root>/<campaign_id>/{config.json, records.jsonl, summary.json}.
     Identical configs rewrite identical bytes.  The run directory is
-    created after the config checks and before the first trial, so an
-    unwritable root fails at once and an invalid config creates nothing.
+    created before the first trial, so an unwritable root fails at once;
+    an invalid config raises when it is built and creates nothing.
     """
-    _check_config(config)
     rdir = runs_root(root) / campaign_id(config)
     rdir.mkdir(parents=True, exist_ok=True)
     records, summary = conjecture_campaign(config)

@@ -716,6 +716,36 @@ class TestClassifyCurve:
         assert min(abs(th - theta) for th, _ in detect_flat(a, 1e-5)) < 1e-9
         assert all(abs(th - theta) > 1e-6 for th in modelled)
 
+    @pytest.mark.parametrize("tol", [1e-7, 1e-5])
+    def test_flat_skip_is_scale_free(self, tol):
+        # the weights' product is a cubic length, so the matrix scaled by 10 gets the same verdict
+        theta, mu = 0.7, 0.2
+        trio = [(0.02 - mu + 1j * y) * np.exp(1j * theta) for y in (0.3, -0.2, 0.05)]
+        a = scipy.linalg.block_diag(np.diag([0.9 + 0.5j, -0.8 - 0.6j]), flat_3x3(*trio, theta, mu))
+        assert [c.kind for c in classify_curve(10 * a, tol)] == [c.kind for c in classify_curve(a, tol)]
+
+    def test_components_in_eigenvalue_order(self):
+        # points and every ellipse's and flat's foci come out ascending in _lex_key, the eigenvalue order
+        lex = classify_mod._lex_key
+        rng = np.random.default_rng(29)
+        cases = []
+        for _ in range(4):
+            lams = [_disc_draw(rng, 0.45) for _ in range(5)]
+            cases.append((two_ellipse_block(*lams, *rng.uniform(0.3, 0.9, size=2)), ["point", "ellipse", "ellipse"]))
+        for lams, theta, mu in criterion4_params()[:4]:
+            cases.append((scipy.linalg.block_diag(FLAT_TOP, flat_3x3(*lams, theta, mu)), ["ellipse", "flat_quartic"]))
+        for _ in range(4):
+            cases.append((np.diag(rng.permutation([0.3, -0.2 + 0.1j, 0.0, 0.4j, -0.5])), ["point"] * 5))
+        for a, kinds in cases:
+            u = haar_unitary(5, rng)
+            comps = classify_curve(u.conj().T @ a @ u, tol=1e-7)
+            assert [c.kind for c in comps] == kinds
+            runs = [[c.location for c in comps if c.kind == "point"]]
+            runs += [[c.focus1, c.focus2] for c in comps if c.kind == "ellipse"]
+            runs += [list(c.foci) for c in comps if c.kind == "flat_quartic"]
+            for run in runs:
+                assert [lex(z) for z in run] == sorted(lex(z) for z in run)
+
     @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
     def test_meaningless_tol_rejected(self, tol):
         # nan, 0 and -1 would report one unclassified quintic, inf five points

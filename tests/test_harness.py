@@ -122,6 +122,15 @@ class TestCampaign:
         with pytest.raises(ValueError):
             conjecture_campaign(CampaignConfig(n_trials=30, seed=0, **bad))
 
+    @pytest.mark.parametrize(
+        "bad, field",
+        [({"n_trials": 0, "seed": 0}, "n_trials"), ({"n_trials": 3, "seed": 1, "tol_disc": np.nan}, "tol_disc")],
+    )
+    def test_invalid_config_raises_when_built(self, bad, field):
+        # a config that exists is valid, so neither campaign entry point checks it again
+        with pytest.raises(ValueError, match=field):
+            CampaignConfig(**bad)
+
     @pytest.mark.parametrize("ker_dims", [(), (9,), (-1,)])
     def test_undrawable_ker_dims_rejected_before_any_trial(self, monkeypatch, ker_dims):
         fits = []
@@ -317,6 +326,24 @@ class TestPersistence:
             assert (dir_int / name).read_bytes() == (dir_float / name).read_bytes()
         assert json.loads((dir_int / "config.json").read_text())["tol_center"] == 1.0
         assert '"tol_center": 1.0' in (dir_int / "summary.json").read_text()
+
+    @pytest.mark.parametrize("repeated, period", [((1, 1), (1,)), ([1, 2, 1, 2], (1, 2))])
+    def test_repeated_ker_dims_are_their_period(self, tmp_path, repeated, period):
+        # trial idx draws ker_dims[idx % len(ker_dims)], so a repeated pattern runs the trials of its period
+        assert CampaignConfig(n_trials=4, seed=1, ker_dims=repeated).ker_dims == period
+        dir_rep, dir_per = (
+            run_campaign(CampaignConfig(n_trials=4, seed=1, ker_dims=dims), root=tmp_path / str(i))[0]
+            for i, dims in enumerate((repeated, period))
+        )
+        assert dir_rep.name == dir_per.name
+        for name in ("config.json", "records.jsonl", "summary.json"):
+            assert (dir_rep / name).read_bytes() == (dir_per / name).read_bytes()
+
+    def test_unrepeated_ker_dims_keep_their_id(self):
+        assert CampaignConfig(n_trials=4, seed=1, ker_dims=(1, 1, 2)).ker_dims == (1, 1, 2)
+        assert CampaignConfig(n_trials=4, seed=1).ker_dims == (1, 2, 3)
+        ids = {campaign_id(CampaignConfig(n_trials=4, seed=1, ker_dims=dims)) for dims in ((1, 1, 2), (1, 2))}
+        assert len(ids) == 2
 
     def test_runs_root_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("KIPP_RUNS_DIR", str(tmp_path / "via_env"))
