@@ -47,7 +47,7 @@ from .harness import (
 from .kippenhahn import curve_points, kipp_poly_det, kipp_poly_expanded
 from .linalg import DEFAULT_TOL
 from .homopoly import max_abs_coeff, max_coeff_diff
-from .svgplot import _draw, render_svg
+from .svgplot import render_svg
 
 EXIT_VIOLATION = 1
 EXIT_DOMAIN = 3
@@ -162,14 +162,14 @@ def classify(matrix, tol, samples, shape, svg_path, out):
 def boundary(matrix, samples, out, svg_path):
     """Numerical range boundary of MATRIX as re,im CSV lines."""
     m = formats.load_matrix(matrix)
-    pts = curve_points(m, samples)  # the CSV is its top column, the SVG draws all of it
+    pts = curve_points(m, samples)  # the CSV is its top column; render_svg reuses the sweep
     text = "".join(f"{formats.f17(p.real)},{formats.f17(p.imag)}\n" for p in pts[:, -1])
     if out is None:
         click.echo(text, nl=False)
     else:
         Path(out).write_text(text)
     if svg_path is not None:
-        Path(svg_path).write_text(_draw(m, pts))
+        Path(svg_path).write_text(render_svg(m, samples))
 
 
 def _emit_matrix(m: np.ndarray, out: str | None) -> None:

@@ -266,6 +266,9 @@ def kipp_poly_expanded(a) -> HomoPoly3:
 # --- spectral geometry of the pencil ---
 
 
+_last_points: tuple | None = None  # (key, points) of the last curve_points sweep
+
+
 def curve_points(a, samples: int = 256) -> np.ndarray:
     """Curve points at samples angles over [0, 2 pi), one row per angle.
 
@@ -273,10 +276,22 @@ def curve_points(a, samples: int = 256) -> np.ndarray:
     ascending eigenvalue: the tangency points of the lines orthogonal to theta_t.
     An even samples costs samples / 2 eigensolves (`_circle_sweep`).  Fewer
     than one sample raise ValueError.
+
+    The last result (samples x n complex values) stays alive, keyed by
+    samples and the checked matrix's shape and bytes, so a second call
+    on the same matrix and grid, such as `boundary_polyline` followed by
+    `svgplot.render_svg`, runs no eigensolve.  Every call returns its own
+    copy.
     """
+    global _last_points
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    return _circle_sweep(as_matrix(a), samples, points=True)[1]
+    m = as_matrix(a)
+    key = (samples, m.shape, m.tobytes())
+    last = _last_points
+    if last is None or last[0] != key:
+        last = _last_points = key, _circle_sweep(m, samples, points=True)[1]
+    return last[1].copy()
 
 
 def boundary_polyline(a, samples: int = 256) -> np.ndarray:

@@ -3,8 +3,11 @@
 Every layer goes on one 640 x 640 canvas, the disc only when a fit is
 given.  The marks (every curve point branch by branch, the eigenvalues,
 the disc center) go through one array transform to pixels; the boundary
-path is the top branch, so a caller holding a `curve_points` sweep draws
-from it without a second one.  Pure string emission with fixed-precision
+path is the top branch.  The points come from `curve_points`, which
+keeps its last sweep, so drawing a matrix whose curve the caller has
+just swept runs no second eigensolve.  Each branch's run of circles is
+one %-format of a fixed template over its pixel coordinates, and so is
+the boundary path.  Pure string emission with fixed-precision
 coordinates, so identical input produces identical bytes.
 """
 
@@ -24,12 +27,8 @@ _HEIGHT = 640
 def render_svg(a, samples: int = 256, disc: DiscFit | None = None) -> str:
     """Serialize matrix a's curve, sampled at samples angles, into a standalone SVG document."""
     m = as_matrix(a)
-    return _draw(m, curve_points(m, samples), disc)
-
-
-def _draw(m: np.ndarray, pts: np.ndarray, disc: DiscFit | None = None) -> str:
-    """The SVG document of m from pts = curve_points(m, samples)."""
-    samples, n = pts.shape
+    pts = curve_points(m, samples)
+    n = m.shape[0]
     eigs = sorted(np.linalg.eigvals(m).tolist(), key=_lex_key)
     marks = [pts.T.ravel(), eigs]  # branch by branch, then the eigenvalues
     if disc is not None:
@@ -42,11 +41,11 @@ def _draw(m: np.ndarray, pts: np.ndarray, disc: DiscFit | None = None) -> str:
     lo_y, hi_y = lo_y - pad, lo_y + span + pad
     sx = _WIDTH / (hi_x - lo_x)
     sy = _HEIGHT / (hi_y - lo_y)
-    xs = ((z.real - lo_x) * sx).tolist()
-    ys = (_HEIGHT - (z.imag - lo_y) * sy).tolist()  # flip so Im axis points up
-    pixels = list(zip(xs, ys))
-    rows = [pixels[b * samples : (b + 1) * samples] for b in range(n)]
-    crosses = pixels[n * samples : n * samples + n]
+    xs = (z.real - lo_x) * sx
+    ys = _HEIGHT - (z.imag - lo_y) * sy  # flip so Im axis points up
+    xy = np.stack([xs, ys], axis=-1)
+    rows = [tuple(row) for row in xy[: n * samples].reshape(n, 2 * samples).tolist()]  # x0, y0, x1, ...
+    crosses = xy[n * samples :].tolist()  # the eigenvalues, then the disc center
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -55,18 +54,17 @@ def _draw(m: np.ndarray, pts: np.ndarray, disc: DiscFit | None = None) -> str:
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     for b, row in enumerate(rows):
-        color = _BRANCH_COLORS[b % len(_BRANCH_COLORS)]
-        dots = "".join(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="1.5" fill="{color}"/>' for x, y in row)
-        parts.append(f'<g class="branch{b}">{dots}</g>')
-    path = "M " + " L ".join(f"{x:.3f} {y:.3f}" for x, y in rows[-1]) + " Z"
-    parts.append(f'<path d="{path}" fill="none" stroke="#000000" stroke-width="1.2"/>')
+        dot = '<circle cx="%.3f" cy="%.3f" r="1.5" fill="' + _BRANCH_COLORS[b % len(_BRANCH_COLORS)] + '"/>'
+        parts.append(f'<g class="branch{b}">' + dot * samples % row + "</g>")
+    path = "M %.3f %.3f" + " L %.3f %.3f" * (samples - 1) + " Z"
+    parts.append(f'<path d="{path % rows[-1]}" fill="none" stroke="#000000" stroke-width="1.2"/>')
     if disc is not None:
-        cx, cy = pixels[n * samples + n]
+        cx, cy = crosses[n]
         parts.append(
             f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{disc.radius * sx:.3f}" fill="none" stroke="#888888" '
             'stroke-width="1" stroke-dasharray="5 4"/>'
         )
-    for x, y in crosses:
+    for x, y in crosses[:n]:
         x, y = float(f"{x:.3f}"), float(f"{y:.3f}")  # the arms end 4 px from the printed center
         parts.append(
             f'<g stroke="#000000" stroke-width="1">'

@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
+from kippcurve import kippenhahn
+
 
 @pytest.fixture
 def count_eigensolves(monkeypatch):
     """Stack sizes of the np.linalg.eigh and eigvalsh calls made during the test, by name.
 
     The size of a call is the number of matrices it diagonalizes: 1 for one
-    matrix, the product of the leading dimensions for a stack.
+    matrix, the product of the leading dimensions for a stack.  The
+    `curve_points` memo starts empty, so a sweep an earlier test left in
+    it does not hide the test's own.
     """
+    monkeypatch.setattr(kippenhahn, "_last_points", None)
     calls = {"eigh": [], "eigvalsh": []}
     for name, solve in [(name, getattr(np.linalg, name)) for name in calls]:
 

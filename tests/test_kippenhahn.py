@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from kippcurve import kippenhahn
 from kippcurve.classify import entry_condition_rhs, fit_disc, flat_report, two_ellipse_report
 from kippcurve.errors import BadDims, IllConditionedInterpolation, NotDim5, NotUpperTriangular
 from kippcurve.generators import haar_unitary, jordan_shift, two_ellipse_block
@@ -339,6 +340,47 @@ def test_fit_disc_stack(count_eigensolves, samples, stack):
 def test_curve_points_stack(count_eigensolves, samples, stack):
     curve_points(gaussian(5), samples)
     assert count_eigensolves == {"eigh": [stack], "eigvalsh": []}
+
+
+# --- the curve_points memo: one sweep serves boundary_polyline and render_svg ---
+
+
+def test_boundary_then_svg_sweep_once(count_eigensolves):
+    # the benchmark's highdim item draws the boundary, then the SVG with its disc
+    a = gaussian(12)
+    boundary_polyline(a)
+    render_svg(a, disc=fit_disc(a))
+    assert count_eigensolves["eigh"] == [128]
+
+
+def test_memo_hit_equals_cold_call(monkeypatch):
+    a = gaussian(9)
+    first, hit = curve_points(a, 64), curve_points(a, 64)
+    monkeypatch.setattr(kippenhahn, "_last_points", None)
+    cold = curve_points(a, 64)
+    assert np.array_equal(first, cold)
+    assert np.array_equal(hit, cold)
+
+
+def test_memo_returns_copies():
+    a = gaussian(6)
+    first = curve_points(a, 32)
+    want = first.copy()
+    first[:] = 0.0
+    assert np.array_equal(curve_points(a, 32), want)
+    boundary_polyline(a, 32)[:] = 0.0
+    assert np.array_equal(curve_points(a, 32), want)
+
+
+def test_memo_sweeps_again_for_another_entry_or_samples(count_eigensolves):
+    a = gaussian(5)
+    curve_points(a, 32)
+    b = a.copy()
+    b[2, 3] = complex(np.nextafter(b[2, 3].real, np.inf), b[2, 3].imag)  # one ulp off
+    curve_points(b, 32)
+    curve_points(b, 16)
+    curve_points(b, 16)
+    assert count_eigensolves["eigh"] == [16, 16, 8]
 
 
 @pytest.mark.parametrize("samples", [2, 16, 64, 256])
